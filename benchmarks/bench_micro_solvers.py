@@ -64,6 +64,28 @@ def test_micro_dp_withpre_n100_e25(benchmark, fat100, fat100_pre):
     assert result.n_replicas > 0
 
 
+@pytest.fixture(scope="module")
+def fat400():
+    return paper_tree(400, rng=np.random.default_rng(48))
+
+
+@pytest.fixture(scope="module")
+def fat800():
+    return paper_tree(800, rng=np.random.default_rng(49))
+
+
+def test_micro_dp_withpre_n400_e50(benchmark, fat400):
+    pre = random_preexisting(fat400, 50, rng=np.random.default_rng(50))
+    result = benchmark(replica_update, fat400, 10, pre, MINCOUNT)
+    assert result.n_replicas > 0
+
+
+def test_micro_dp_withpre_n800_e100(benchmark, fat800):
+    pre = random_preexisting(fat800, 100, rng=np.random.default_rng(51))
+    result = benchmark(replica_update, fat800, 10, pre, MINCOUNT)
+    assert result.n_replicas > 0
+
+
 def test_micro_power_frontier_n50_e5(benchmark, power50, power50_pre):
     frontier = benchmark(power_frontier, power50, PM, CM, power50_pre)
     assert len(frontier) > 0

@@ -27,7 +27,7 @@ from repro.tree.model import Tree
 __all__ = ["dp_min_replicas", "dp_nopre_placement"]
 
 _PLACED_NONE = 0
-_PLACED_NEW = 2  # matches the flag convention of dp_withpre
+_PLACED_NEW = 2
 
 
 def _merge(

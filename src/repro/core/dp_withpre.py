@@ -14,25 +14,41 @@ This implements Algorithms 1–4 of the paper:
 * ``merge`` (Algorithm 3) becomes a 2-D min-plus convolution between the
   accumulated table of ``j`` and each child's *offer* table (child kept
   replica-free, or hosting a reused / new replica that absorbs its
-  residual flow).  The convolution iterates over the (small) child offer
-  and updates the accumulator with vectorised numpy slices; argmins are
-  recorded for reconstruction.
-* ``replica-update`` (Algorithm 4) scans the root table, prices every
-  ``(e, n)`` cell — adding a root replica when requests remain — and keeps
-  the cheapest.  We additionally price the "reuse the root as an idle
-  server" option (never chosen when ``delete < 1``, i.e. in every paper
-  configuration, but required for exactness under exotic cost models where
-  deletions cost more than keeping a server).
+  residual flow).
+* ``replica-update`` (Algorithm 4) prices every feasible root cell —
+  adding a root replica when requests remain — and keeps the cheapest.  We
+  additionally price the "reuse the root as an idle server" option (never
+  chosen when ``delete < 1``, i.e. in every paper configuration, but
+  required for exactness under exotic cost models where deletions cost
+  more than keeping a server).
 
-Two deviations from the pseudo-code, both output-preserving:
+Deviations from the pseudo-code; costs are unchanged, and placements may
+differ only between equal-cost optima:
 
 * tables are bounded by the *subtree contents* (``e ≤ |E ∩ subtree_j|``,
   ``n ≤ |subtree_j|``) instead of the global ``(E+1)×(N-E+1)`` bound — the
   classic small-to-large argument; values are identical where both exist,
   and out-of-bound cells are provably infeasible;
-* instead of the O(N) ``req`` vectors per cell we store per-merge argmin
-  backpointers and rebuild the placement by unwinding merges (§3.3 notes
-  the same optimisation for the cost; we extend it to reconstruction).
+* **leaf batching**: a node's childless children are folded in as one
+  closed-form offer.  With the loads of the pre-existing leaves ``P`` and
+  of the other leaves ``N`` sorted in descending order (ties to the lower
+  node id), hosting ``a`` and ``b`` of them leaves
+  ``(ΣP − top_a(P)) + (ΣN − top_b(N))`` requests.  That is the min-plus
+  product of the single-leaf offers, because capping at ``W`` commutes
+  with the product when every value is non-negative.  Each internal-child
+  merge loops over whichever operand has fewer feasible cells and takes a
+  vectorised minimum into the output window;
+* **lazy argmin recovery**: instead of O(N) ``req`` vectors per cell, each
+  merge keeps its input accumulator and offer, and backtracking re-finds
+  one optimal split per merge along the chosen path with a vectorised
+  equality search; a leaf batch gives back its top-``a`` / top-``b``
+  leaves.  Tables use the narrowest unsigned dtype holding the sum of two
+  cells, so no subtree size is capped;
+* **vectorised Equation-2 root pricing**: a :class:`UniformCostModel`
+  prices the whole root table in one numpy expression with the float
+  operation order of :meth:`UniformCostModel.total`, keeping the first
+  minimum in scan order (cell-major, replica-free before root replica);
+  any other :class:`CostLike` is priced cell by cell in the same order.
 
 Worst-case complexity matches Theorem 1: O(N · (N-E+1)² · (E+1)²) ⊆ O(N⁵).
 """
@@ -56,9 +72,11 @@ from repro.tree.validate import check_preexisting
 
 __all__ = ["replica_update", "CostLike", "RootChoice"]
 
-PLACED_NONE = 0
-PLACED_REUSED = 1
-PLACED_NEW = 2
+#: One internal-child merge: ``(child, offer, accumulator before the merge)``.
+_Step = tuple[int, np.ndarray, np.ndarray]
+#: Per non-leaf node: final table, its merges, and its batched pre-existing
+#: and other leaves, each sorted by load descending.
+_Node = tuple[np.ndarray, list[_Step], list[int], list[int]]
 
 
 class CostLike(Protocol):
@@ -77,73 +95,61 @@ class RootChoice:
     root_replica: bool
 
 
-def _offer_table(
-    child_table: np.ndarray, is_pre: bool, capacity: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extend a child's table with the replica-on-child options.
+def _unhosted(leaves: list[int], loads: list[int]) -> np.ndarray:
+    """``[k]``: load of ``leaves`` left over when the first ``k`` host a replica."""
+    prefix = np.cumsum([0] + [loads[c] for c in leaves])
+    return prefix[-1] - prefix
+
+
+def _offer_table(table: np.ndarray, is_pre: bool, capacity: int) -> np.ndarray:
+    """Extend a child's table with the replica-on-child option.
 
     Offer cell ``(de, dn)`` is the best flow the child branch contributes
     when it uses ``de`` pre-existing and ``dn`` new servers *including* a
-    possible replica on the child itself.  ``placed`` records which option
-    produced the value (Algorithm 3, lines 11 / 16 / 23).
+    possible replica on the child itself (Algorithm 3, lines 11 / 16 / 23).
     """
-    inf = capacity + 1
-    re_, rn = child_table.shape
-    if is_pre:
-        offer = np.full((re_ + 1, rn), inf, dtype=np.int64)
-        placed = np.zeros((re_ + 1, rn), dtype=np.int8)
-        offer[:re_, :] = child_table
-        region = offer[1:, :]
-        mask = (child_table <= capacity) & (region > 0)
-        region[mask] = 0
-        placed[1:, :][mask] = PLACED_REUSED
-    else:
-        offer = np.full((re_, rn + 1), inf, dtype=np.int64)
-        placed = np.zeros((re_, rn + 1), dtype=np.int8)
-        offer[:, :rn] = child_table
-        region = offer[:, 1:]
-        mask = (child_table <= capacity) & (region > 0)
-        region[mask] = 0
-        placed[:, 1:][mask] = PLACED_NEW
-    return offer, placed
+    re_, rn = table.shape
+    offer = np.full((re_ + is_pre, rn + (not is_pre)), capacity + 1, table.dtype)
+    offer[:re_, :rn] = table
+    hosted = offer[1:] if is_pre else offer[:, 1:]
+    hosted[table <= capacity] = 0
+    return offer
 
 
-def _merge(
-    acc: np.ndarray,
-    offer: np.ndarray,
-    offer_placed: np.ndarray,
-    capacity: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """2-D min-plus convolution of the accumulator with a child offer.
+def _merge(acc: np.ndarray, offer: np.ndarray, inf: int) -> np.ndarray:
+    """2-D min-plus convolution of the accumulator with a child offer."""
+    shape = (acc.shape[0] + offer.shape[0] - 1, acc.shape[1] + offer.shape[1] - 1)
+    out = np.full(shape, inf, acc.dtype)
+    small, big = acc, offer
+    if np.count_nonzero(acc < inf) > np.count_nonzero(offer < inf):
+        small, big = offer, acc
+    be, bn = big.shape
+    es, ns = np.nonzero(small < inf)
+    # ``out`` starts at ``inf``, so the running minimum also caps every sum.
+    for e, n, v in zip(es.tolist(), ns.tolist(), small[es, ns].tolist(), strict=True):
+        window = out[e : e + be, n : n + bn]
+        np.minimum(window, big + v, out=window)
+    return out
 
-    Returns ``(table, choice_e, choice_n, choice_placed)`` where the choice
-    arrays record, for every output cell, how many (pre-existing, new)
-    servers were attributed to the child branch and whether the child itself
-    hosts a replica.
-    """
-    inf = capacity + 1
-    ea, na = acc.shape
-    oe, on = offer.shape
-    out = np.full((ea + oe - 1, na + on - 1), inf, dtype=np.int64)
-    ch_e = np.zeros(out.shape, dtype=np.int16)
-    ch_n = np.zeros(out.shape, dtype=np.int16)
-    ch_p = np.zeros(out.shape, dtype=np.int8)
-    for de in range(oe):
-        row = offer[de]
-        for dn in range(on):
-            val = row[dn]
-            if val > capacity:
-                continue
-            cand = acc + val
-            cand[cand > capacity] = inf
-            region = out[de : de + ea, dn : dn + na]
-            better = cand < region
-            if better.any():
-                region[better] = cand[better]
-                ch_e[de : de + ea, dn : dn + na][better] = de
-                ch_n[de : de + ea, dn : dn + na][better] = dn
-                ch_p[de : de + ea, dn : dn + na][better] = offer_placed[de, dn]
-    return out, ch_e, ch_n, ch_p
+
+def _split(
+    before: np.ndarray, offer: np.ndarray, e: int, n: int, target: int
+) -> tuple[int, int]:
+    """First ``(de, dn)`` with ``before[e-de, n-dn] + offer[de, dn] == target``."""
+    lo_e, hi_e = max(0, e - before.shape[0] + 1), min(e, offer.shape[0] - 1)
+    lo_n, hi_n = max(0, n - before.shape[1] + 1), min(n, offer.shape[1] - 1)
+    sums = (
+        offer[lo_e : hi_e + 1, lo_n : hi_n + 1]
+        + before[e - hi_e : e - lo_e + 1, n - hi_n : n - lo_n + 1][::-1, ::-1]
+    )
+    hits = np.flatnonzero(sums == target)
+    if not hits.size:
+        raise SolverError(
+            f"backtracking found no split for budget (e={e}, n={n}); "
+            "DP tables corrupt"
+        )
+    de, dn = divmod(int(hits[0]), sums.shape[1])
+    return lo_e + de, lo_n + dn
 
 
 def replica_update(
@@ -189,84 +195,42 @@ def replica_update(
     eset = check_preexisting(tree, preexisting)
     model: CostLike = cost_model if cost_model is not None else UniformCostModel()
     inf = capacity + 1
-    n = tree.n_nodes
+    dtype = np.min_scalar_type(2 * inf)
+    loads = tree.client_loads.tolist()
+    root = tree.root
 
-    tables: list[np.ndarray | None] = [None] * n
-    choices: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
-        [] for _ in range(n)
-    ]
-
-    for v in tree.post_order():
-        j = int(v)
-        load = tree.client_load(j)
-        if load > capacity:
+    dp: dict[int, _Node] = {}
+    for j in tree.post_order().tolist():
+        if loads[j] > capacity:
             raise InfeasibleError(
-                f"direct client load {load} at node {j} exceeds W={capacity}",
+                f"direct client load {loads[j]} at node {j} exceeds W={capacity}",
                 node=j,
             )
-        acc = np.array([[load]], dtype=np.int64)
-        for child in tree.children(j):
-            child_table = tables[child]
-            assert child_table is not None
-            offer, offer_placed = _offer_table(
-                child_table, child in eset, capacity
-            )
-            acc, ch_e, ch_n, ch_p = _merge(acc, offer, offer_placed, capacity)
-            choices[j].append((ch_e, ch_n, ch_p))
-            tables[child] = None  # free early; reconstruction uses choices only
-            if stats is not None:
-                stats.record_merge(acc.shape[0], acc.shape[1])
-        tables[j] = acc
+        kids = tree.children(j)
+        if not kids and j != root:
+            continue  # batched into the parent's leaf offer
+        by_load = sorted(
+            (c for c in kids if c not in dp), key=loads.__getitem__, reverse=True
+        )
+        pre = [c for c in by_load if c in eset]
+        new = [c for c in by_load if c not in eset]
+        acc = np.minimum(
+            loads[j] + _unhosted(pre, loads)[:, None] + _unhosted(new, loads), inf
+        ).astype(dtype)
+        if by_load and stats is not None:
+            stats.record_merge(*acc.shape)
+        steps: list[_Step] = []
+        for child in kids:
+            if child in dp:
+                offer = _offer_table(dp[child][0], child in eset, capacity)
+                steps.append((child, offer, acc))
+                acc = _merge(acc, offer, inf)
+                if stats is not None:
+                    stats.record_merge(*acc.shape)
+        dp[j] = (acc, steps, pre, new)
 
-    root = tree.root
-    root_table = tables[root]
-    assert root_table is not None
-    n_pre = len(eset)
-    root_is_pre = root in eset
-
-    best_cost: float | None = None
-    best: RootChoice | None = None
-
-    def consider(cost: float, choice: RootChoice) -> None:
-        nonlocal best_cost, best
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best = choice
-
-    er, nr = root_table.shape
-    for e in range(er):
-        for nn in range(nr):
-            f = int(root_table[e, nn])
-            if f > capacity:
-                continue
-            if f == 0:
-                consider(
-                    model.total(e + nn, e, n_pre),
-                    RootChoice(e, nn, 0, root_replica=False),
-                )
-                if root_is_pre:
-                    # Idle reused root (never optimal when delete < 1; see
-                    # module docstring).
-                    consider(
-                        model.total(e + nn + 1, e + 1, n_pre),
-                        RootChoice(e, nn, 0, root_replica=True),
-                    )
-            else:
-                if root_is_pre:
-                    consider(
-                        model.total(e + nn + 1, e + 1, n_pre),
-                        RootChoice(e, nn, f, root_replica=True),
-                    )
-                else:
-                    consider(
-                        model.total(e + nn + 1, e, n_pre),
-                        RootChoice(e, nn, f, root_replica=True),
-                    )
-
-    if best is None or best_cost is None:
-        raise InfeasibleError("no valid replica placement exists")
-
-    replicas = _reconstruct(tree, choices, root, best.e, best.n)
+    cost, best = _price_root(dp[root][0], model, len(eset), root in eset, capacity)
+    replicas = _reconstruct(dp, eset, root, best.e, best.n)
     if best.root_replica:
         replicas.append(root)
     expected = best.e + best.n + (1 if best.root_replica else 0)
@@ -279,43 +243,75 @@ def replica_update(
         replicas,
         capacity,
         preexisting=eset,
-        cost=float(best_cost),
+        cost=cost,
         extra={"root_choice": best},
     )
 
 
+def _price_root(
+    table: np.ndarray,
+    model: CostLike,
+    n_pre: int,
+    root_is_pre: bool,
+    capacity: int,
+) -> tuple[float, RootChoice]:
+    """Cheapest root option: the first minimum in cell-major order, with a
+    cell's replica-free option before its root-replica one."""
+    options = np.empty(table.shape + (2,), dtype=bool)
+    options[..., 0] = table == 0
+    # A root replica absorbs the residual flow; an idle one (flow 0) can
+    # only pay off as a reused pre-existing root (module docstring).
+    options[..., 1] = (table <= capacity) & ((table > 0) | root_is_pre)
+    cand = np.flatnonzero(options)
+    if not cand.size:
+        raise InfeasibleError("no valid replica placement exists")
+    e, rest = np.divmod(cand, 2 * table.shape[1])
+    n, replica = np.divmod(rest, 2)
+    servers = e + n + replica
+    reused = e + replica * root_is_pre
+    if type(model) is UniformCostModel:
+        # The float operation order of UniformCostModel.total.
+        costs = (
+            servers
+            + (servers - reused) * model.create
+            + (n_pre - reused) * model.delete
+        )
+    else:
+        costs = np.array(
+            [
+                model.total(s, r, n_pre)
+                for s, r in zip(servers.tolist(), reused.tolist(), strict=True)
+            ],
+            dtype=np.float64,
+        )
+    best = int(np.argmin(costs))
+    be, bn = int(e[best]), int(n[best])
+    choice = RootChoice(be, bn, int(table[be, bn]), bool(replica[best]))
+    return float(costs[best]), choice
+
+
 def _reconstruct(
-    tree: Tree,
-    choices: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
-    node: int,
-    e: int,
-    n: int,
+    dp: dict[int, _Node], eset: frozenset[int], root: int, e: int, n: int
 ) -> list[int]:
-    """Unwind the per-merge argmin records into an explicit replica set."""
+    """Unwind the merges along the chosen cells into an explicit replica set."""
     replicas: list[int] = []
-    stack: list[tuple[int, int, int]] = [(node, e, n)]
+    stack: list[tuple[int, int, int]] = [(root, e, n)]
     while stack:
-        j, be, bn = stack.pop()
-        children = tree.children(j)
-        for idx in range(len(children) - 1, -1, -1):
-            ch_e, ch_n, ch_p = choices[j][idx]
-            de = int(ch_e[be, bn])
-            dn = int(ch_n[be, bn])
-            flag = int(ch_p[be, bn])
-            child = children[idx]
-            if flag == PLACED_REUSED:
-                replicas.append(child)
-                stack.append((child, de - 1, dn))
-            elif flag == PLACED_NEW:
-                replicas.append(child)
-                stack.append((child, de, dn - 1))
-            else:
+        j, e, n = stack.pop()
+        after, steps, pre, new = dp[j]
+        for child, offer, before in reversed(steps):
+            de, dn = _split(before, offer, e, n, int(after[e, n]))
+            table = dp[child][0]
+            if (
+                de < table.shape[0]
+                and dn < table.shape[1]
+                and table[de, dn] == offer[de, dn]
+            ):
                 stack.append((child, de, dn))
-            be -= de
-            bn -= dn
-        if be != 0 or bn != 0:
-            raise SolverError(
-                f"backtracking left budget (e={be}, n={bn}) at node {j}; "
-                "DP tables corrupt"
-            )
+            else:  # the child's own replica absorbs its residual flow
+                replicas.append(child)
+                is_pre = child in eset
+                stack.append((child, de - is_pre, dn - (not is_pre)))
+            e, n, after = e - de, n - dn, before
+        replicas += pre[:e] + new[:n]
     return replicas

@@ -374,7 +374,11 @@ class ClusterStats:
 
 @dataclass
 class CoreDPStats:
-    """Table statistics of one MinCost-WithPre run."""
+    """Table statistics of one MinCost-WithPre run.
+
+    A merge is recorded once per child that has children of its own and
+    once per node whose childless children are folded in as a leaf batch.
+    """
 
     merges: int = 0
     total_cells: int = 0  #: sum of post-merge table sizes (work ∝ this)

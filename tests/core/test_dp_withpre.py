@@ -2,21 +2,39 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.costs import UniformCostModel
+from repro.core.dp_nopre import dp_nopre_placement
 from repro.core.dp_withpre import replica_update
 from repro.core.exhaustive import exhaustive_min_cost
-from repro.core.solution import evaluate_placement
+from repro.core.solution import evaluate_placement, verify_placement
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.tree.generators import paper_tree, random_preexisting
+from repro.tree.generators import (
+    caterpillar_tree,
+    paper_tree,
+    path_tree,
+    random_preexisting,
+    random_recursive_tree,
+    star_tree,
+)
 from repro.tree.model import Client, Tree
 
 from tests.conftest import trees_with_preexisting
 
 MINCOUNT = UniformCostModel(1e-4, 1e-5)  # server count strictly dominant
+
+#: ``(seed, n, children, E, W, create, delete) -> cost`` computed with the
+#: 1.7.0 kernel (one argmin-recording merge per child, scalar root scan).
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "dp_withpre_golden.json").read_text()
+)
 
 
 class TestBasics:
@@ -158,3 +176,122 @@ class TestOptimalityAgainstOracle:
             return
         got = replica_update(tree, 8, pre, cm)
         assert got.cost == pytest.approx(expected.cost)
+
+
+class TestGoldenCosts:
+    """The oracle rung between exhaustive search and served responses."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN, ids=[f"n{c['n']}-seed{c['seed']}" for c in GOLDEN]
+    )
+    def test_cost_bit_identical(self, case):
+        tree = paper_tree(
+            case["n"], children_range=tuple(case["children"]), rng=case["seed"]
+        )
+        pre = random_preexisting(tree, case["E"], rng=case["seed"] + 1)
+        model = UniformCostModel(case["create"], case["delete"])
+        assert replica_update(tree, case["W"], pre, model).cost == case["cost"]
+
+
+@st.composite
+def many_leaf_trees(draw):
+    """Up to three hubs, each under an earlier one, fanning out to childless
+    nodes.  Loads come from a small alphabet with zeros, so tied and
+    zero-load leaves are common; ``E`` is empty, every leaf, every node or
+    random."""
+    n_hubs = draw(st.integers(1, 3))
+    parents: list[int | None] = [None]
+    parents += [draw(st.integers(0, h - 1)) for h in range(1, n_hubs)]
+    parents += draw(
+        st.lists(st.integers(0, n_hubs - 1), min_size=1, max_size=10 - n_hubs)
+    )
+    loads = draw(
+        st.lists(
+            st.sampled_from([0, 0, 1, 3, 3, 5]),
+            min_size=len(parents),
+            max_size=len(parents),
+        )
+    )
+    tree = Tree(parents, [Client(v, r) for v, r in enumerate(loads) if r])
+    nodes = list(range(tree.n_nodes))
+    leaves = frozenset(v for v in nodes if not tree.children(v))
+    pre = draw(
+        st.one_of(
+            st.just(frozenset()),
+            st.just(leaves),
+            st.just(frozenset(nodes)),
+            st.frozensets(st.sampled_from(nodes)),
+        )
+    )
+    return tree, pre
+
+
+NOPRE_TREES = {
+    "fat": lambda: paper_tree(300, rng=1),
+    "high": lambda: paper_tree(300, children_range=(2, 4), rng=2),
+    "recursive": lambda: random_recursive_tree(250, client_prob=0.6, rng=3),
+    "caterpillar": lambda: caterpillar_tree(75, 3, client_prob=0.7, rng=4),
+    "path": lambda: path_tree(300, client_prob=0.5, rng=5),
+    "star": lambda: star_tree(299, client_prob=0.8, rng=6),
+}
+
+
+class TestStress:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        many_leaf_trees(),
+        st.sampled_from([(0.1, 0.01), (1e-4, 1e-5), (0.5, 1.5), (0.0, 5.0)]),
+    )
+    def test_many_leaves_match_exhaustive(self, tree_pre, prices):
+        tree, pre = tree_pre
+        model = UniformCostModel(*prices)
+        got = replica_update(tree, 8, pre, model)
+        expected = exhaustive_min_cost(tree, 8, pre, model)
+        assert got.cost == pytest.approx(expected.cost)
+        assert model.of_placement(got.replicas, pre) == pytest.approx(got.cost)
+
+    @pytest.mark.parametrize("shape", sorted(NOPRE_TREES))
+    def test_empty_preexisting_matches_nopre(self, shape):
+        tree = NOPRE_TREES[shape]()
+        model = UniformCostModel(0.1, 0.01)
+        expected = model.total(dp_nopre_placement(tree, 10).n_replicas, 0, 0)
+        assert replica_update(tree, 10, (), model).cost == expected
+
+    def test_star_wider_than_int16(self):
+        # 33,000 leaves under one node: more than an int16 index can count.
+        tree = star_tree(33_000, client_prob=1.0, rng=7)
+        res = replica_update(tree, 10, frozenset(range(1, 6)), MINCOUNT)
+        verify_placement(tree, res.replicas, 10)
+        # Closed form: host the k heaviest leaves, the root serves the rest.
+        leaves = np.sort(tree.client_loads[1:])[::-1]
+        rest = tree.total_requests - np.concatenate(([0], np.cumsum(leaves)))
+        servers = np.arange(rest.size) + (rest > 0)
+        assert res.n_replicas == servers[rest <= 10].min()
+
+
+class _Opaque:
+    """Equation-2 prices behind a plain ``CostLike``, which the kernel
+    prices cell by cell: the reference for the vectorised root pricing."""
+
+    def __init__(self, model: UniformCostModel) -> None:
+        self.model = model
+
+    def total(self, n_servers: int, n_reused: int, n_preexisting: int) -> float:
+        return self.model.total(n_servers, n_reused, n_preexisting)
+
+
+class TestRootPricing:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_vectorised_matches_cell_by_cell(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = paper_tree(60, children_range=((6, 9), (2, 4))[seed % 2], rng=rng)
+        pre = random_preexisting(tree, 15, rng=rng)
+        if seed % 4 >= 2:
+            pre |= {tree.root}  # prices the idle reused root too
+        prices = [(0.1, 0.01), (0.0, 5.0), (0.3, 1.5), (2.0, 0.5)][seed % 4]
+        model = UniformCostModel(*prices)
+        fast = replica_update(tree, 10, pre, model)
+        slow = replica_update(tree, 10, pre, _Opaque(model))
+        assert fast.cost == slow.cost
+        assert fast.extra["root_choice"] == slow.extra["root_choice"]
+        assert fast.replicas == slow.replicas

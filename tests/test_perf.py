@@ -27,7 +27,13 @@ class TestCoreDPStats:
         tree = paper_tree(40, rng=rng)
         pre = random_preexisting(tree, 10, rng=rng)
         result, stats = instrument_replica_update(tree, 10, pre)
-        assert stats.merges == 39  # one merge per non-root internal child
+        # One merge per child with children of its own, plus one leaf batch
+        # per node whose childless children are folded in together.
+        kids = [tree.children(v) for v in range(tree.n_nodes)]
+        internal = sum(1 for cs in kids for c in cs if kids[c])
+        batches = sum(1 for cs in kids if any(not kids[c] for c in cs))
+        assert stats.merges == internal + batches
+        assert stats.merges < tree.n_nodes - 1
         assert stats.total_cells > 0
         assert stats.max_cells <= (11) * (31)  # bounded by (E+1)(N-E+1)
         assert stats.max_e_dim <= 11

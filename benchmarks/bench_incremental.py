@@ -8,7 +8,10 @@ deltas (and a subtree-flip family) on paper-generator trees, asserting
 byte-identical frontiers against a cold solve *before* timing, then
 gates the 500-node single-client-delta family on
 ``REPRO_BENCH_MIN_INCREMENTAL_SPEEDUP`` (default 5.0) — cold median
-over per-delta median.
+over per-delta median.  Next to the speedup each family records the
+kernel's mean ``merges`` per delta and per cold solve
+(:class:`~repro.perf.stats.ParetoDPStats`), counted on an untimed replay
+of the same deltas: a delta pays only for the merges it changes.
 
 Results land in ``benchmarks/results/BENCH_incremental.json`` for the
 nightly digest.
@@ -22,8 +25,9 @@ import time
 
 from repro.analysis import format_table
 from repro.core.costs import ModalCostModel
-from repro.dynamics import MigrateSubtree, SessionState, SetRequests
-from repro.power.kernels import KERNELS
+from repro.dynamics import MigrateSubtree, SessionState, SetRequests, apply_deltas
+from repro.perf.stats import ParetoDPStats
+from repro.power.kernels import KERNELS, FrontStore
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.generators import paper_tree
 
@@ -63,6 +67,27 @@ def _deltas_for(kind: str, tree, step: int):
     return [MigrateSubtree(v, g if tree.parents[v] == p else p)]
 
 
+def _merges(tree, front_store=None) -> int:
+    stats = ParetoDPStats()
+    KERNELS["array"](tree, PM, CM, {}, front_store=front_store, stats=stats)
+    return stats.merges
+
+
+def _replay_merges(tree, batches) -> tuple[float, float]:
+    """Mean kernel merges per delta (store-backed, as a session solves
+    it) and per cold solve, over the replayed delta batches."""
+    store = FrontStore("array")
+    _merges(tree, store)
+    per_delta: list[int] = []
+    per_cold: list[int] = []
+    for deltas in batches:
+        tree, dirty = apply_deltas(tree, deltas)
+        store.advance_codes(tree, {}, dirty)
+        per_delta.append(_merges(tree, store))
+        per_cold.append(_merges(tree))
+    return statistics.mean(per_delta), statistics.mean(per_cold)
+
+
 def _run_families() -> dict[str, dict]:
     out: dict[str, dict] = {}
     for name, cfg in FAMILIES.items():
@@ -73,9 +98,11 @@ def _run_families() -> dict[str, dict]:
         first_cold = time.perf_counter() - t0
         delta_times: list[float] = []
         cold_times: list[float] = []
+        batches = []
         reused = invalidated = 0
         for step in range(cfg["deltas"]):
             deltas = _deltas_for(cfg["kind"], state.tree, step)
+            batches.append(deltas)
             t0 = time.perf_counter()
             result = state.apply(deltas)
             delta_times.append(time.perf_counter() - t0)
@@ -89,6 +116,7 @@ def _run_families() -> dict[str, dict]:
         state.close()
         delta_med = statistics.median(delta_times)
         cold_med = statistics.median(cold_times)
+        delta_merges, cold_merges = _replay_merges(tree, batches)
         out[name] = {
             "n_nodes": cfg["n_nodes"],
             "kind": cfg["kind"],
@@ -97,6 +125,8 @@ def _run_families() -> dict[str, dict]:
             "cold_median_seconds": cold_med,
             "delta_median_seconds": delta_med,
             "speedup": cold_med / delta_med,
+            "delta_merges_mean": delta_merges,
+            "cold_merges_mean": cold_merges,
             "fronts_reused": reused,
             "fronts_invalidated": invalidated,
             "reuse_rate": reused / (reused + invalidated),
@@ -124,6 +154,7 @@ def test_incremental_vs_cold(benchmark, emit, emit_json):
             f"{fam['cold_median_seconds'] * 1e3:.2f}",
             f"{fam['delta_median_seconds'] * 1e3:.2f}",
             f"{fam['speedup']:.1f}x",
+            f"{fam['delta_merges_mean']:.1f}/{fam['cold_merges_mean']:.0f}",
             f"{fam['reuse_rate']:.2f}",
             "hard" if fam["hard"] else "",
         )
@@ -132,14 +163,15 @@ def test_incremental_vs_cold(benchmark, emit, emit_json):
     table = format_table(
         (
             "family", "N", "delta", "steps", "cold_ms", "delta_ms",
-            "speedup", "reuse", "gate",
+            "speedup", "merges", "reuse", "gate",
         ),
         rows,
     )
     emit(
         "incremental",
         f"{table}\n\nByte-identical frontiers on every replayed delta "
-        "(asserted before timing).  'hard' carries the per-delta speedup "
+        "(asserted before timing).  'merges' is the kernel's mean merge "
+        "count per delta / per cold solve.  'hard' carries the per-delta speedup "
         "gate: single-client churn on a 500-node tree touches one root "
         "path, so almost every subtree front is served from the store.",
     )

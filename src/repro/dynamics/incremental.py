@@ -329,9 +329,13 @@ class SessionState:
     def solve(self) -> PowerFrontier:
         """(Re-)solve the current tree through the front store."""
         self._check_open()
+        self._frontier = self._solve(self._tree)
+        return self._frontier
+
+    def _solve(self, tree: Tree) -> PowerFrontier:
         resets_before = self._store.resets
         frontier = self._solver(
-            self._tree,
+            tree,
             self._power_model,
             self._cost_model,
             self._pre,
@@ -339,14 +343,16 @@ class SessionState:
         )
         self.stats.solves += 1
         self.stats.store_resets += self._store.resets - resets_before
-        self._frontier = frontier
         return frontier
 
     def apply(self, deltas: Iterable[Delta]) -> ApplyResult:
         """Apply a delta batch and re-solve incrementally.
 
-        Invalid deltas raise *before* any session state changes — the
-        tree, codes and store are untouched on error.
+        A rejected batch leaves the session as it was: invalid deltas
+        raise before any state changes, and a batch whose re-solve fails
+        (an :class:`~repro.exceptions.InfeasibleError`, say) restores the
+        store's current codes, so the tree, frontier and the addressing
+        of later deltas are those from before the call.
         """
         self._check_open()
         batch: Sequence[Delta] = tuple(deltas)
@@ -355,10 +361,15 @@ class SessionState:
         # the subsequent solve sees the advanced codes via the store's
         # current-codes fast path (no full relabelling).
         self._store.advance_codes(new_tree, self._pre, dirty)
-        self._tree = new_tree
         hits_before = self._store.hits
         misses_before = self._store.misses
-        frontier = self.solve()
+        try:
+            frontier = self._solve(new_tree)
+        except BaseException:
+            self._store.codes_for(self._tree, self._pre)
+            raise
+        self._tree = new_tree
+        self._frontier = frontier
         reused = self._store.hits - hits_before
         invalidated = self._store.misses - misses_before
         self.stats.deltas_applied += len(batch)

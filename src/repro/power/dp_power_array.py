@@ -11,19 +11,22 @@ three parallel sorted **column arrays** —
 * ``p`` (power so far, float64, strictly descending),
 * ``prov`` (int64 indices into an append-only provenance log),
 
-and a child merge materialises each output flow's candidate cross
-products as broadcast **outer adds** over contiguous slices of the
-flattened operand columns — no index arrays exist until after the
-dominance sweep, when only the kept rows decode their operand
-coordinates back from flat positions.  Large buckets first pass through
-an *exact* certain-reject prefilter: the sweep's running best is always
-within ``_EPS`` of the strict prefix-min of p, so a candidate with a
+and a child merge builds the candidate cross products of *all* its
+output flows (buckets) at once, as gathered ``(accumulator row, option)``
+columns, and sweeps them together: :func:`_sweep` orders every bucket by
+``(g, p)`` with one sort per merge and keeps, per bucket, exactly what a
+stable ``lexsort`` plus the scalar sweep would (the strict running
+minimum of p, read at each equal-g run's head, drops most rejections
+before the exact stable order is ever built).  Buckets above
+``_FILTER_LIMIT`` candidates go one at a time through an *exact*
+certain-reject prefilter: the sweep's running best is always within
+``_EPS`` of the strict prefix-min of p, so a candidate with a
 strictly-cheaper, no-more-powerful same-bucket peer can be dropped
 before the sort ever sees it (a pilot envelope of block-edge rows plus a
 stride sample supplies the peers).  The ``_EPS`` dominance sweep itself
 (a running *accepted-only* minimum — not a plain cumulative minimum, see
-below) runs over one bulk ``tolist()`` of the sorted power column, so
-its cost is linear in the survivors with a small constant and it is
+below) runs over one bulk ``tolist()`` of the surviving power column,
+so its cost is linear in the survivors with a small constant and it is
 **bit-for-bit** the row kernel's sweep.
 
 Byte identity with the row kernel is a hard contract, pinned by
@@ -42,8 +45,8 @@ count-vector oracle).  The three rules that make it hold:
    ``np.minimum.accumulate`` mask is *not* equivalent (it tightens on
    rejected candidates whose ``p`` falls within the ``(_EPS, 1.5·_EPS)``
    window below the running best), so the sweep stays an exact scalar
-   loop over the pre-sorted column — the sort, not the sweep, was the
-   expensive part.
+   loop over the pre-sorted column; cumulative minima only ever *drop*
+   rows the sweep would reject.
 3. **Same root rounding.**  The root sweep rounds with Python's
    correctly-rounded ``round`` (``np.round`` scales-and-rints, which can
    differ in the last ulp) and flows through the shared
@@ -66,6 +69,7 @@ for placement walks.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -97,14 +101,18 @@ __all__ = ["power_frontier_array"]
 
 _INF = float("inf")
 
-#: Candidate count above which the block path runs the certain-reject
-#: prefilter before sorting (the filter's pilot pass costs a few linear
-#: scans; below this the lexsort is already cheap).
+#: Candidate count above which a bucket leaves its merge's batched sweep
+#: and runs the certain-reject prefilter on its own before sorting (the
+#: filter's pilot pass costs a few linear scans; below this one shared
+#: sort is cheaper).
 _FILTER_LIMIT = 4096
 #: Every k-th candidate joins the pilot envelope alongside the block edge
 #: rows — densifies the envelope for near-flat fronts at O(n/k) extra
 #: pilot mass.
 _PILOT_STRIDE = 64
+#: Candidate count above which :func:`_sweep` drops non-records before
+#: the exact stable sort (below it, sorting everything is cheaper).
+_RECORD_FILTER_MIN = 64
 
 #: A front: parallel (g, p, prov) columns, sorted g-ascending /
 #: p-descending, Pareto by construction.  Fronts are immutable by
@@ -131,19 +139,21 @@ class _ProvLog:
 
     Entry 0 is the base label.  ``a``/``b`` are log indices for merge and
     place entries; for alias entries ``a`` is the representative's log
-    index and ``b`` indexes :attr:`isos`.  Columns are plain lists (the
-    log grows by tens of thousands of entries, batch-extended from
-    arrays) — reconstruction is a scalar walk anyway.
+    index and ``b`` indexes :attr:`isos`.  Columns are typed
+    :class:`array.array` buffers, batch-extended from numpy columns: a
+    live session's log holds tens of thousands of entries for as long as
+    the session does, and boxed list items would cost several times the
+    memory.  Reconstruction is a scalar walk either way.
     """
 
     __slots__ = ("kind", "a", "b", "node", "mode", "isos")
 
     def __init__(self) -> None:
-        self.kind: list[int] = [_K_BASE]
-        self.a: list[int] = [0]
-        self.b: list[int] = [0]
-        self.node: list[int] = [0]
-        self.mode: list[int] = [0]
+        self.kind = array("b", [_K_BASE])
+        self.a = array("q", [0])
+        self.b = array("q", [0])
+        self.node = array("q", [0])
+        self.mode = array("q", [0])
         # dicts, or lazy mapping-like isos in front-store mode — the
         # placement walk only ever subscripts them.
         self.isos: list[Any] = []
@@ -157,13 +167,14 @@ class _ProvLog:
     ) -> NDArray[np.int64]:
         """Batch-append merge entries; mode -1 = pure pass, else place."""
         start = len(self.kind)
-        modes = mode_col.tolist()
-        n = len(modes)
-        self.kind.extend(_K_MERGE if m < 0 else _K_PLACE for m in modes)
-        self.a.extend(a_ids.tolist())
-        self.b.extend(b_ids.tolist())
-        self.node.extend([node] * n)
-        self.mode.extend(modes)
+        n = int(mode_col.shape[0])
+        self.kind.frombytes(
+            np.where(mode_col < 0, _K_MERGE, _K_PLACE).astype(np.int8).tobytes()
+        )
+        self.a.frombytes(a_ids.astype(np.int64, copy=False).tobytes())
+        self.b.frombytes(b_ids.astype(np.int64, copy=False).tobytes())
+        self.node.extend(array("q", [node]) * n)
+        self.mode.frombytes(mode_col.astype(np.int64, copy=False).tobytes())
         return np.arange(start, start + n, dtype=np.int64)
 
     def add_iso(self, iso: Any) -> int:
@@ -177,11 +188,11 @@ class _ProvLog:
         """Batch-append memo-alias entries sharing one isomorphism."""
         start = len(self.kind)
         n = int(rep_prov.shape[0])
-        self.kind.extend([_K_ALIAS] * n)
-        self.a.extend(rep_prov.tolist())
-        self.b.extend([iso_idx] * n)
-        self.node.extend([0] * n)
-        self.mode.extend([0] * n)
+        self.kind.extend(array("b", [_K_ALIAS]) * n)
+        self.a.frombytes(rep_prov.astype(np.int64, copy=False).tobytes())
+        self.b.extend(array("q", [iso_idx]) * n)
+        self.node.extend(array("q", [0]) * n)
+        self.mode.extend(array("q", [0]) * n)
         return np.arange(start, start + n, dtype=np.int64)
 
     def placement(self, prov_id: int) -> dict[int, int]:
@@ -246,6 +257,98 @@ def _sweep_segment(
         if p < best - _EPS:
             best = p
             append(i)
+
+
+def _sweep(
+    g: NDArray[np.float64], p: NDArray[np.float64], sizes: Sequence[int]
+) -> tuple[NDArray[np.intp], list[int]]:
+    """Exact ``_EPS`` dominance sweep over consecutive candidate buckets.
+
+    ``g``/``p`` hold the buckets back to back, ``sizes`` their lengths in
+    order.  Returns the kept positions, bucket by bucket in ``(g, p)``
+    order, and the running kept count at the end of each bucket.
+
+    The result is exactly a stable bucket-major ``lexsort((p, g))`` plus
+    :func:`_sweep_segment` per bucket, for less.  An accepted row's ``p``
+    is strictly below that of every row with a smaller ``g`` in its
+    bucket.  So one unstable ``argsort`` by ``g``, a stable radix pass by
+    bucket and a running minimum of ``p`` per bucket, read at the head
+    of each equal-``g`` run, keep an exact superset of the accepted rows.
+    Only those few are put in the exact stable order and swept; dropping
+    rows the sweep would reject never moves its threshold.
+    """
+    n = int(g.shape[0])
+    n_buckets = len(sizes)
+    if not n:
+        return np.empty(0, dtype=np.intp), [0] * n_buckets
+    if n_buckets > 1:
+        bucket = np.repeat(
+            np.arange(n_buckets, dtype=np.int16 if n_buckets < 2**15 else np.intp),
+            sizes,
+        )
+    if n <= _RECORD_FILTER_MIN:
+        surv = np.arange(n, dtype=np.intp)
+    else:
+        order = np.argsort(g)
+        if n_buckets > 1:
+            order = order[np.argsort(bucket[order], kind="stable")]
+        g_s = g[order]
+        p_s = p[order]
+        # before[i]: least p of the bucket's rows ahead of row i.
+        head = np.empty(n, dtype=bool)
+        np.not_equal(g_s[1:], g_s[:-1], out=head[1:])
+        before = np.empty(n)
+        lo = 0
+        for size in sizes:
+            if size:
+                head[lo] = True
+                before[lo] = _INF
+                np.minimum.accumulate(
+                    p_s[lo : lo + size - 1], out=before[lo + 1 : lo + size]
+                )
+                lo += size
+        # ... and, read at the head of its equal-g run, of the rows with a
+        # strictly smaller g.
+        run_head = np.maximum.accumulate(np.where(head, np.arange(n), 0))
+        surv = np.sort(order[p_s < before[run_head]])
+    if n_buckets > 1:
+        surv = surv[np.lexsort((p[surv], g[surv], bucket[surv]))]
+        bounds = np.searchsorted(bucket[surv], np.arange(n_buckets), side="right")
+    else:
+        surv = surv[np.lexsort((p[surv], g[surv]))]
+        bounds = np.asarray([surv.shape[0]])
+    p_surv = p[surv].tolist()
+    keep: list[int] = []
+    ends: list[int] = []
+    lo = 0
+    for hi in bounds.tolist():
+        _sweep_segment(p_surv, lo, hi, keep)
+        ends.append(len(keep))
+        lo = hi
+    return surv[np.asarray(keep, dtype=np.intp)], ends
+
+
+def _alias_table(
+    prov: _ProvLog, rep_table: Mapping[int, _Front], iso: Any
+) -> dict[int, _Front]:
+    """Re-provenance a representative's table through one isomorphism.
+
+    The ``g``/``p`` columns are the representative's buffers, zero-copy;
+    every row gets one alias entry, appended in a single batch.
+    """
+    if not rep_table:
+        return {}
+    iso_idx = prov.add_iso(iso)
+    ids = prov.append_aliases(
+        np.concatenate([front[2] for front in rep_table.values()]), iso_idx
+    )
+    out: dict[int, _Front] = {}
+    lo = 0
+    for f, front in rep_table.items():
+        hi = lo + int(front[2].shape[0])
+        out[f] = (front[0], front[1], ids[lo:hi])
+        lo = hi
+    return out
 
 
 def _front_sizes(table: Mapping[int, _Front]) -> dict[int, Any]:
@@ -351,7 +454,10 @@ def power_frontier_array(
         prov = _ProvLog()
     children = tree.children
     loads = tree.client_loads.tolist()
-    tables: list[dict[int, _Front] | None] = [None] * tree.n_nodes
+    # A node's computed table, or a (representative table, iso) pair for
+    # a store/memo hit whose alias rows are deferred to the consuming fold.
+    tables: list[dict[int, _Front] | tuple[Mapping[int, _Front], Any] | None]
+    tables = [None] * tree.n_nodes
     int64 = np.int64
     neg_one = np.int64(-1)
 
@@ -377,19 +483,15 @@ def power_frontier_array(
                         rep, rep_table = hit
                         iso_obj = _subtree_iso(tree, codes, rep, j)
                 if rep_table is not None:
-                    # One iso shared by every aliased row; g/p columns are
-                    # the representative's buffers, zero-copy.
-                    iso_idx = prov.add_iso(iso_obj)
-                    table: dict[int, _Front] = {
-                        f: (front[0], front[1], prov.append_aliases(front[2], iso_idx))
-                        for f, front in rep_table.items()
-                    }
+                    # Aliased only when the parent's fold consumes it: a
+                    # child that a retained parent prefix covers never
+                    # pays for its alias rows.
+                    tables[j] = (rep_table, iso_obj)
                     memo_hits += 1
                     if stats is not None:
                         memo_shared += sum(
-                            len(front[0]) for front in table.values()
+                            len(front[0]) for front in rep_table.values()
                         )
-                    tables[j] = table
                     continue
                 memo_misses += 1
             load = loads[j]
@@ -408,12 +510,48 @@ def power_frontier_array(
         # Post-visit: fold the children into this node.
         j = ~j
         load = loads[j]
+        kids = children(j)
         acc: dict[int, _Front] = {load: _BASE_FRONT}
         acc_is_base = True
-        for child in children(j):
+        first = 0
+        prefix_key = 0
+        if front_store is not None:
+            # Resume after the longest retained child prefix (the full
+            # fold is the node's own table, so the last child is never
+            # part of a prefix key).
+            first, prefix_key, prefix_entry = front_store.longest_prefix(
+                load, [codes[c] for c in kids[:-1]]
+            )
+            if prefix_entry is not None:
+                acc = _alias_table(
+                    prov,
+                    prefix_entry.table,
+                    front_store.make_iso(prefix_entry, tree, codes, j),
+                )
+                acc_is_base = False
+        published_acc = acc
+        for i in range(first, len(kids)):
+            if front_store is not None and i > first:
+                # Retain the accumulator over kids[:i] (skipped when the
+                # previous child was an identity merge: nothing changed).
+                prefix_key = front_store.prefix_key(prefix_key, codes[kids[i - 1]])
+                if acc is not published_acc:
+                    front_store.publish(
+                        prefix_key,
+                        tree,
+                        codes,
+                        j,
+                        acc,
+                        sum(int(front[0].shape[0]) for front in acc.values()),
+                        prefix=i,
+                    )
+                    published_acc = acc
+            child = kids[i]
             child_table = tables[child]
-            assert child_table is not None
             tables[child] = None
+            if isinstance(child_table, tuple):
+                child_table = _alias_table(prov, *child_table)
+            assert child_table is not None
             dg_by_mode = reuse_dg[pre[child]] if child in pre else create_dg
 
             # Identity fast path: an empty subtree contributes nothing.
@@ -498,12 +636,7 @@ def power_frontier_array(
                     )
                 if pool_n:
                     if pool_n > 1:
-                        order = np.lexsort((pool_p_col, pool_g_col))
-                        keep: list[int] = []
-                        _sweep_segment(
-                            pool_p_col[order].tolist(), 0, pool_n, keep
-                        )
-                        sel = order[np.asarray(keep, dtype=np.intp)]
+                        sel, _ = _sweep(pool_g_col, pool_p_col, (pool_n,))
                     else:
                         sel = np.zeros(1, dtype=np.intp)
                     kept_g = pool_g_col[sel]
@@ -531,10 +664,7 @@ def power_frontier_array(
             # unchanged (mode -1), or the swept flow-0 pool.  Options are
             # virtual — provenance is allocated only for accepted merges.
             if pool_n > 1:
-                order = np.lexsort((pool_p_col, pool_g_col))
-                keep = []
-                _sweep_segment(pool_p_col[order].tolist(), 0, pool_n, keep)
-                sel = order[np.asarray(keep, dtype=np.intp)]
+                sel, _ = _sweep(pool_g_col, pool_p_col, (pool_n,))
                 opt0 = (
                     pool_g_col[sel],
                     pool_p_col[sel],
@@ -592,7 +722,8 @@ def power_frontier_array(
                             prs.append((f1, f2))
 
             merged = {}
-            buckets: list[tuple[int, list[tuple[int, int, int, int]]]] = []
+            #: (flow, operand blocks, candidate count) per combinatorial bucket.
+            buckets: list[tuple[int, list[tuple[int, int, int, int]], int]] = []
             for f, prs in out_pairs.items():
                 if len(prs) == 1:
                     f1, f2 = prs[0]
@@ -674,7 +805,9 @@ def power_frontier_array(
                                 ),
                             )
                         continue
-                    buckets.append((f, [(a_start[f1], la, o_start[f2], lb)]))
+                    buckets.append(
+                        (f, [(a_start[f1], la, o_start[f2], lb)], la * lb)
+                    )
                     continue
                 total = 0
                 blks: list[tuple[int, int, int, int]] = []
@@ -684,114 +817,118 @@ def power_frontier_array(
                     total += la * lb
                     blks.append((a_start[f1], la, o_start[f2], lb))
                 labels_created += total
-                buckets.append((f, blks))
+                buckets.append((f, blks, total))
 
-            # Combinatorial buckets: per bucket, the candidate columns are
-            # built as broadcast *outer adds* over contiguous slices of
-            # the flattened operands (acc operand first — the summation
-            # order contract) — no gather indices exist until after the
-            # sweep, when only the few kept rows need their (row, option)
-            # coordinates decoded back from flat positions.
-            for f, blks in buckets:
-                if len(blks) == 1:
-                    b_as, b_na, b_os, b_nb = blks[0]
-                    cg = (
-                        a_g[b_as : b_as + b_na, None]
-                        + o_g[b_os : b_os + b_nb]
-                    ).ravel()
-                    cp = (
-                        a_p[b_as : b_as + b_na, None]
-                        + o_p[b_os : b_os + b_nb]
-                    ).ravel()
-                else:
-                    cg = np.concatenate(
-                        [
-                            (a_g[s : s + n, None] + o_g[o : o + m]).ravel()
-                            for s, n, o, m in blks
-                        ]
-                    )
-                    cp = np.concatenate(
-                        [
-                            (a_p[s : s + n, None] + o_p[o : o + m]).ravel()
-                            for s, n, o, m in blks
-                        ]
-                    )
-                n_bucket = int(cg.shape[0])
-                labels_generated += n_bucket
-
-                if n_bucket > _FILTER_LIMIT:
-                    # Certain-reject prefilter.  The sweep's running best
-                    # is sandwiched within _EPS of the strict prefix-min
-                    # of p, so any same-bucket candidate with strictly
-                    # smaller g and p' <= p *certainly* rejects this one
-                    # (rejections never move the threshold, so dropping
-                    # them is exact).  Pilot envelope: each block's edge
-                    # candidates (its full last accumulator row and last
-                    # option column — scalar-shifted slices, elementwise
-                    # identical to the broadcast values) plus a coarse
-                    # stride sample, g-sorted under a cumulative min — the
-                    # dominated interior mass dies against it before the
-                    # expensive lexsort ever sees it.
-                    pg = np.concatenate(
-                        [a_g[s : s + n] + o_g[o + m - 1] for s, n, o, m in blks]
-                        + [a_g[s + n - 1] + o_g[o : o + m] for s, n, o, m in blks]
-                        + [cg[::_PILOT_STRIDE]]
-                    )
-                    pp = np.concatenate(
-                        [a_p[s : s + n] + o_p[o + m - 1] for s, n, o, m in blks]
-                        + [a_p[s + n - 1] + o_p[o : o + m] for s, n, o, m in blks]
-                        + [cp[::_PILOT_STRIDE]]
-                    )
-                    porder = np.argsort(pg, kind="stable")
-                    pgs = pg[porder]
-                    env = np.minimum.accumulate(pp[porder])
-                    pos = np.searchsorted(pgs, cg, side="left") - 1
-                    rej = pos >= 0
-                    rej[rej] = env[pos[rej]] <= cp[rej]
-                    surv = np.flatnonzero(~rej)
-                    cg_s = cg[surv]
-                    cp_s = cp[surv]
-                else:
-                    surv = None
-                    cg_s = cg
-                    cp_s = cp
-
-                order = np.lexsort((cp_s, cg_s))
-                keep: list[int] = []
-                _sweep_segment(
-                    cp_s[order].tolist(), 0, int(order.shape[0]), keep
-                )
-                sel = order[np.asarray(keep, dtype=np.intp)]
-                if surv is not None:
-                    sel = surv[sel]
+            # Combinatorial buckets.  Every bucket at or below
+            # _FILTER_LIMIT candidates is merged in one batch: one set of
+            # gathered (accumulator row, option) columns — acc operand
+            # first, the summation-order contract — one bucket-major
+            # sweep (ties keep their within-bucket order) and one
+            # provenance append for every kept row, in bucket order.
+            swept: dict[int, _Front] = {}
+            small = [bk for bk in buckets if bk[2] <= _FILTER_LIMIT]
+            if small:
+                b_as_col, b_na_col, b_os_col, b_nb_col = np.asarray(
+                    [blk for _, blks, _ in small for blk in blks], dtype=int64
+                ).T
+                b_size_col = b_na_col * b_nb_col
+                n_cand = int(b_size_col.sum())
+                bid = np.repeat(np.arange(b_size_col.shape[0]), b_size_col)
+                intra = np.arange(n_cand) - (np.cumsum(b_size_col) - b_size_col)[bid]
+                nb_col = b_nb_col[bid]
+                ia = b_as_col[bid] + intra // nb_col
+                io = b_os_col[bid] + intra % nb_col
+                cg = a_g[ia] + o_g[io]
+                cp = a_p[ia] + o_p[io]
+                sel, bucket_ends = _sweep(cg, cp, [size for _, _, size in small])
+                ia_sel = ia[sel]
+                io_sel = io[sel]
                 kept_g = cg[sel]
                 kept_p = cp[sel]
+                kept_prov = prov.append_merges(
+                    a_prov[ia_sel], o_src[io_sel], o_mode[io_sel], child
+                )
+                labels_generated += n_cand
+                merge_rejected_n += n_cand - int(sel.shape[0])
+                lo = 0
+                for (f, _, _), hi in zip(small, bucket_ends, strict=True):
+                    swept[f] = (kept_g[lo:hi], kept_p[lo:hi], kept_prov[lo:hi])
+                    lo = hi
+
+            # Larger buckets, one at a time: candidate columns as broadcast
+            # *outer adds* over contiguous operand slices, through the
+            # certain-reject prefilter before the sort.
+            for f, blks, n_bucket in buckets:
+                if n_bucket <= _FILTER_LIMIT:
+                    continue
+                cg = np.concatenate(
+                    [
+                        (a_g[s : s + n, None] + o_g[o : o + m]).ravel()
+                        for s, n, o, m in blks
+                    ]
+                )
+                cp = np.concatenate(
+                    [
+                        (a_p[s : s + n, None] + o_p[o : o + m]).ravel()
+                        for s, n, o, m in blks
+                    ]
+                )
+                labels_generated += n_bucket
+
+                # Certain-reject prefilter.  The sweep's running best is
+                # sandwiched within _EPS of the strict prefix-min of p, so
+                # any same-bucket candidate with strictly smaller g and
+                # p' <= p *certainly* rejects this one (rejections never
+                # move the threshold, so dropping them is exact).  Pilot
+                # envelope: each block's edge candidates (its full last
+                # accumulator row and last option column — scalar-shifted
+                # slices, elementwise identical to the broadcast values)
+                # plus a coarse stride sample, g-sorted under a cumulative
+                # min — the dominated interior mass dies against it before
+                # the expensive lexsort ever sees it.
+                pg = np.concatenate(
+                    [a_g[s : s + n] + o_g[o + m - 1] for s, n, o, m in blks]
+                    + [a_g[s + n - 1] + o_g[o : o + m] for s, n, o, m in blks]
+                    + [cg[::_PILOT_STRIDE]]
+                )
+                pp = np.concatenate(
+                    [a_p[s : s + n] + o_p[o + m - 1] for s, n, o, m in blks]
+                    + [a_p[s + n - 1] + o_p[o : o + m] for s, n, o, m in blks]
+                    + [cp[::_PILOT_STRIDE]]
+                )
+                porder = np.argsort(pg, kind="stable")
+                pgs = pg[porder]
+                env = np.minimum.accumulate(pp[porder])
+                pos_col = np.searchsorted(pgs, cg, side="left") - 1
+                rej = pos_col >= 0
+                rej[rej] = env[pos_col[rej]] <= cp[rej]
+                surv = np.flatnonzero(~rej)
+                cg_s = cg[surv]
+                cp_s = cp[surv]
+
+                sel_s, _ = _sweep(cg_s, cp_s, (int(cg_s.shape[0]),))
+                sel = surv[sel_s]
                 merge_rejected_n += n_bucket - int(sel.shape[0])
 
                 # Decode the kept flat positions back to operand indices.
-                if len(blks) == 1:
-                    b_as, b_na, b_os, b_nb = blks[0]
-                    ia_sel = b_as + sel // b_nb
-                    io_sel = b_os + sel % b_nb
-                else:
-                    bsizes = np.asarray(
-                        [n * m for _, n, _, m in blks], dtype=int64
-                    )
-                    bcum = np.concatenate(([0], np.cumsum(bsizes)))
-                    bidx = np.searchsorted(bcum, sel, side="right") - 1
-                    intra = sel - bcum[bidx]
-                    b_as_col = np.asarray([s for s, _, _, _ in blks], dtype=int64)
-                    b_os_col = np.asarray([o for _, _, o, _ in blks], dtype=int64)
-                    b_nb_col = np.asarray([m for _, _, _, m in blks], dtype=int64)
-                    ia_sel = b_as_col[bidx] + intra // b_nb_col[bidx]
-                    io_sel = b_os_col[bidx] + intra % b_nb_col[bidx]
-                merged[f] = (
-                    kept_g,
-                    kept_p,
+                bsizes = np.asarray([n * m for _, n, _, m in blks], dtype=int64)
+                bcum = np.concatenate(([0], np.cumsum(bsizes)))
+                bidx = np.searchsorted(bcum, sel, side="right") - 1
+                intra = sel - bcum[bidx]
+                b_as_col = np.asarray([s for s, _, _, _ in blks], dtype=int64)
+                b_os_col = np.asarray([o for _, _, o, _ in blks], dtype=int64)
+                b_nb_col = np.asarray([m for _, _, _, m in blks], dtype=int64)
+                ia_sel = b_as_col[bidx] + intra // b_nb_col[bidx]
+                io_sel = b_os_col[bidx] + intra % b_nb_col[bidx]
+                swept[f] = (
+                    cg[sel],
+                    cp[sel],
                     prov.append_merges(
                         a_prov[ia_sel], o_src[io_sel], o_mode[io_sel], child
                     ),
                 )
+            for f, _, _ in buckets:
+                merged[f] = swept[f]
 
             merges += 1
             if stats is not None:
@@ -812,6 +949,8 @@ def power_frontier_array(
 
     root = tree.root
     root_table = tables[root]
+    if isinstance(root_table, tuple):
+        root_table = _alias_table(prov, *root_table)
     assert root_table is not None
     delete_constant = sum(cost_model.delete[old] for old in pre.values())
     root_dg = reuse_dg[pre[root]] if root in pre else create_dg

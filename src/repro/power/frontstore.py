@@ -10,7 +10,7 @@ and every subtree the delta did not touch is answered from the store
 instead of being recomputed, so per-delta work collapses to the root
 path of the edit plus cheap bookkeeping.
 
-Three design points make this sound:
+Four design points make this sound and cheap:
 
 * **One intern table per store.**  ``labelled_subtree_codes`` ids are
   only comparable within the call that produced them; the store passes
@@ -27,11 +27,31 @@ Three design points make this sound:
   mapping-like object built on first subscript), so serving a hit is
   O(fronts), not O(subtree) — the property that keeps per-delta latency
   sublinear in tree size when only a root path is recomputed.
+* **Child-prefix accumulators.**  A node's table is a left fold over its
+  children in construction order, and the accumulator after the first
+  ``i`` children depends only on the node's load and the ordered *full*
+  codes of those children (the full code carries the pre-mode marker,
+  which prices placing a replica on the child).  The array kernel
+  interns that as a prefix key, ``("prefix", prev_key, code(child))``
+  chained from a per-load base, and publishes each accumulator as an
+  ordinary :class:`StoreEntry` with :attr:`StoreEntry.prefix` set to
+  the number of children it covers.  A delta that changes one child
+  then resumes the fold from the longest retained prefix before it
+  (:meth:`FrontStore.longest_prefix`) instead of re-merging every
+  sibling.  A prefix hit is aliased like a table hit, through a lazy
+  isomorphism that pairs the ordered prefix children position by
+  position and then descends with :func:`cross_tree_iso` — never by
+  node identity: a batch that swaps loads between two leaves keeps the
+  child's code but moves the nodes, so identity-keyed provenance would
+  reproduce the right ``(cost, power)`` pairs with wrong placements.
+  Prefix lookups are counted in :attr:`FrontStore.prefix_hits`, apart
+  from the table :attr:`~FrontStore.hits`/:attr:`~FrontStore.misses`.
 * **Budgeted retention.**  Entries idle for :attr:`FrontStore.max_idle`
   generations are evicted at solve end, and blowing the entry/label/
   provenance budgets triggers a full :meth:`FrontStore.reset` (the next
-  solve is cold).  Eviction is *only* a memory policy: correctness
-  never depends on what is retained, because lookups are content-keyed.
+  solve is cold).  Prefix entries share the same budgets and eviction.
+  Eviction is *only* a memory policy: correctness never depends on what
+  is retained, because lookups are content-keyed.
 
 The store is kernel-specific (``"tuple"`` rows vs ``"array"`` columnar
 fronts are not interchangeable) and the kernels refuse a store built
@@ -67,6 +87,7 @@ def cross_tree_iso(
     dst_tree: Tree,
     dst_codes: Sequence[int],
     dst: int,
+    prefix: int = 0,
 ) -> dict[int, int]:
     """Isomorphism between equal-code subtrees of two trees.
 
@@ -75,9 +96,23 @@ def cross_tree_iso(
     subtrees across trees; pairing child lists sorted by code yields a
     load- and pre-mode-preserving bijection exactly as the within-solve
     :func:`repro.power.dp_power_pareto._subtree_iso` does.
+
+    ``prefix > 0`` maps a child-prefix accumulator instead: only the
+    first ``prefix`` children of ``src`` and ``dst`` are paired, position
+    by position (their ordered full codes are equal by the prefix key).
     """
     mapping: dict[int, int] = {}
-    stack = [(src, dst)]
+    if prefix:
+        mapping[src] = dst
+        stack = list(
+            zip(
+                src_tree.children(src)[:prefix],
+                dst_tree.children(dst)[:prefix],
+                strict=True,
+            )
+        )
+    else:
+        stack = [(src, dst)]
     get_a = src_codes.__getitem__
     get_b = dst_codes.__getitem__
     while stack:
@@ -115,6 +150,7 @@ class LazyIso:
         "_dst_tree",
         "_dst_codes",
         "_dst_node",
+        "_prefix",
         "_map",
     )
 
@@ -126,6 +162,7 @@ class LazyIso:
         dst_tree: Tree,
         dst_codes: Sequence[int],
         dst_node: int,
+        prefix: int = 0,
     ) -> None:
         self._src_tree = src_tree
         self._src_codes = src_codes
@@ -133,6 +170,7 @@ class LazyIso:
         self._dst_tree = dst_tree
         self._dst_codes = dst_codes
         self._dst_node = dst_node
+        self._prefix = prefix
         self._map: dict[int, int] | None = None
 
     def __getitem__(self, v: int) -> int:
@@ -145,14 +183,21 @@ class LazyIso:
                 self._dst_tree,
                 self._dst_codes,
                 self._dst_node,
+                self._prefix,
             )
         return m[v]
 
 
 class StoreEntry:
-    """One retained subtree table (immutable once published)."""
+    """One retained subtree table (immutable once published).
 
-    __slots__ = ("key", "tree", "codes", "node", "table", "n_labels", "last_gen")
+    ``prefix`` is 0 for a node's full table and ``i > 0`` for the
+    accumulator over the node's first ``i`` children.
+    """
+
+    __slots__ = (
+        "key", "tree", "codes", "node", "table", "n_labels", "last_gen", "prefix"
+    )
 
     def __init__(
         self,
@@ -163,6 +208,7 @@ class StoreEntry:
         table: Mapping[int, Any],
         n_labels: int,
         last_gen: int,
+        prefix: int = 0,
     ) -> None:
         self.key = key
         self.tree = tree
@@ -171,6 +217,7 @@ class StoreEntry:
         self.table = table
         self.n_labels = n_labels
         self.last_gen = last_gen
+        self.prefix = prefix
 
 
 class FrontStore:
@@ -238,6 +285,7 @@ class FrontStore:
         # Counters (monotonic except epoch-scoped ones).
         self.hits = 0
         self.misses = 0
+        self.prefix_hits = 0
         self.published = 0
         self.evictions = 0
         self.resets = 0
@@ -374,7 +422,9 @@ class FrontStore:
         self, entry: StoreEntry, tree: Tree, codes: Sequence[int], dst: int
     ) -> LazyIso:
         """Deferred isomorphism mapping ``entry``'s subtree onto ``dst``."""
-        return LazyIso(entry.tree, entry.codes, entry.node, tree, codes, dst)
+        return LazyIso(
+            entry.tree, entry.codes, entry.node, tree, codes, dst, entry.prefix
+        )
 
     def publish(
         self,
@@ -384,15 +434,63 @@ class FrontStore:
         node: int,
         table: Mapping[int, Any],
         n_labels: int,
+        prefix: int = 0,
     ) -> None:
-        """Retain one computed table (first publication of a key wins)."""
+        """Retain one computed table (first publication of a key wins).
+
+        ``prefix > 0`` publishes the accumulator over ``node``'s first
+        ``prefix`` children under a :meth:`prefix_key`.
+        """
         if key in self._entries:
             return
         self._entries[key] = StoreEntry(
-            key, tree, codes, node, table, n_labels, self._gen
+            key, tree, codes, node, table, n_labels, self._gen, prefix
         )
         self._labels_retained += n_labels
-        self.published += 1
+        if not prefix:
+            self.published += 1
+
+    def prefix_key(self, prev: int, code: int) -> int:
+        """Key of an accumulator extended by one child of full code ``code``.
+
+        ``prev`` is the key of the shorter prefix, or ``-1 - load`` for
+        the bare accumulator of a node with direct load ``load`` (intern
+        ids are non-negative, so the bases never collide with them).
+        """
+        key = ("prefix", prev, code)
+        k = self._intern.get(key)
+        if k is None:
+            k = self._intern[key] = len(self._intern)
+        return k
+
+    def longest_prefix(
+        self, load: int, child_codes: Iterable[int]
+    ) -> tuple[int, int, StoreEntry | None]:
+        """Longest retained accumulator over a prefix of ``child_codes``.
+
+        Returns ``(length, key, entry)`` — ``(0, -1 - load, None)`` when
+        no prefix is retained.  A hit bumps the entry's generation and
+        :attr:`prefix_hits`; table :attr:`hits`/:attr:`misses` are not
+        touched.  Nothing is interned: a key absent from the intern table
+        was never published, and neither was any longer one.
+        """
+        intern = self._intern
+        prev = -1 - load
+        known: list[int] = []
+        for code in child_codes:
+            k = intern.get(("prefix", prev, code))
+            if k is None:
+                break
+            known.append(k)
+            prev = k
+        entries = self._entries
+        for length in range(len(known), 0, -1):
+            entry = entries.get(known[length - 1])
+            if entry is not None:
+                entry.last_gen = self._gen
+                self.prefix_hits += 1
+                return length, known[length - 1], entry
+        return 0, -1 - load, None
 
     def end_solve(self) -> None:
         """Close a solve: evict idle entries, enforce retention budgets."""
@@ -451,6 +549,7 @@ class FrontStore:
             "intern_size": len(self._intern),
             "hits": self.hits,
             "misses": self.misses,
+            "prefix_hits": self.prefix_hits,
             "published": self.published,
             "evictions": self.evictions,
             "resets": self.resets,

@@ -128,43 +128,46 @@ class Tree:
             if p is not None:
                 children[p].append(v)
 
+        # Aggregates are built on Python ints and converted with one
+        # np.asarray each: per-element numpy scalar updates cost more than
+        # the whole construction otherwise (it runs once per session delta
+        # and per request decode).
         client_objs: list[Client] = []
         clients_at: list[list[Client]] = [[] for _ in range(n)]
-        load = np.zeros(n, dtype=np.int64)
+        load = [0] * n
         for c in clients:
             if not isinstance(c, Client):
                 c = Client(int(c[0]), int(c[1]))
-            if not (0 <= c.node < n):
+            node = c.node
+            if not (0 <= node < n):
                 raise WorkloadError(
-                    f"client references unknown internal node {c.node}"
+                    f"client references unknown internal node {node}"
                 )
             client_objs.append(c)
-            clients_at[c.node].append(c)
-            load[c.node] += c.requests
+            clients_at[node].append(c)
+            load[node] += c.requests
 
-        # Iterative post-order; also detects cycles/unreachable nodes when
-        # validating (every node must be visited exactly once from the root).
+        # Post-order as the reverse of a pre-order that visits children
+        # last-first; also detects cycles/unreachable nodes (every node
+        # must be visited exactly once from the root).
         post: list[int] = []
-        depth = np.zeros(n, dtype=np.int64)
-        stack: list[tuple[int, int]] = [(root, 0)]
-        seen = 0
+        depth = [0] * n
+        stack = [root]
         while stack:
-            v, ci = stack[-1]
-            if ci == 0:
-                seen += 1
-            if ci < len(children[v]):
-                stack[-1] = (v, ci + 1)
-                child = children[v][ci]
-                depth[child] = depth[v] + 1
-                stack.append((child, 0))
-            else:
-                post.append(v)
-                stack.pop()
-        if seen != n:
+            v = stack.pop()
+            post.append(v)
+            kids = children[v]
+            if kids:
+                d = depth[v] + 1
+                for c in kids:
+                    depth[c] = d
+                stack.extend(kids)
+        if len(post) != n:
             raise TreeStructureError(
-                f"parent vector is not a single tree: reached {seen} of {n} "
-                "nodes from the root (cycle or disconnected component)"
+                f"parent vector is not a single tree: reached {len(post)} of "
+                f"{n} nodes from the root (cycle or disconnected component)"
             )
+        post.reverse()
 
         post_arr = np.asarray(post, dtype=np.int64)
         post_index = np.empty(n, dtype=np.int64)
@@ -173,24 +176,25 @@ class Tree:
         # Subtree aggregates, excluding the node itself for internal counts
         # (matching the (e, n) table convention of Algorithm 3) but including
         # it for request totals.
-        sub_internal = np.zeros(n, dtype=np.int64)
-        sub_requests = load.copy()
+        sub_internal = [0] * n
+        sub_requests = list(load)
         for v in post:
-            for c in children[v]:
-                sub_internal[v] += sub_internal[c] + 1
-                sub_requests[v] += sub_requests[c]
+            p = parent_list[v]
+            if p is not None:
+                sub_internal[p] += sub_internal[v] + 1
+                sub_requests[p] += sub_requests[v]
 
         self._parents = tuple(parent_list)
         self._children = tuple(tuple(cs) for cs in children)
         self._root = root
         self._clients = tuple(client_objs)
         self._clients_at = tuple(tuple(cs) for cs in clients_at)
-        self._client_load = load
+        self._client_load = np.asarray(load, dtype=np.int64)
         self._post_order = post_arr
         self._post_index = post_index
-        self._depth = depth
-        self._subtree_internal = sub_internal
-        self._subtree_requests = sub_requests
+        self._depth = np.asarray(depth, dtype=np.int64)
+        self._subtree_internal = np.asarray(sub_internal, dtype=np.int64)
+        self._subtree_requests = np.asarray(sub_requests, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -354,7 +358,4 @@ def _normalize_parents(
                 f"missing {missing[:5]}"
             )
         return [parents[v] for v in range(n)]
-    out: list[int | None] = []
-    for p in parents:
-        out.append(None if p is None else int(p))
-    return out
+    return [None if p is None else int(p) for p in parents]

@@ -39,6 +39,7 @@ from repro.dynamics import (
 )
 from repro.exceptions import (
     ConfigurationError,
+    InfeasibleError,
     TreeStructureError,
     WorkloadError,
 )
@@ -248,15 +249,26 @@ class TestSessionState:
         state.close()
 
     def test_invalid_delta_leaves_session_untouched(self, chain_tree):
-        state = SessionState(chain_tree, PM, CM, kernel="array")
-        before = state.frontier().pairs()
-        tree_before = state.tree
-        with pytest.raises(WorkloadError):
-            state.apply([AddClient(0, 1), RemoveClient(99)])
-        assert state.tree is tree_before
-        assert state.frontier().pairs() == before
-        assert state.stats.deltas_applied == 0
-        state.close()
+        cases = [
+            (chain_tree, [AddClient(0, 1), RemoveClient(99)], WorkloadError),
+            # A valid delta whose re-solve is infeasible (direct load 17 > W).
+            (paper_tree(60, rng=3), [AddClient(0, 11)], InfeasibleError),
+        ]
+        for tree, batch, error in cases:
+            state = SessionState(tree, PM, CM, kernel="array")
+            before = state.frontier().pairs()
+            tree_before = state.tree
+            with pytest.raises(error):
+                state.apply(batch)
+            assert state.tree is tree_before
+            assert state.frontier().pairs() == before
+            assert state.stats.deltas_applied == 0
+            # The next delta applies to the original tree.
+            result = state.apply([AddClient(0, 1)])
+            expected, _ = apply_deltas(tree_before, [AddClient(0, 1)])
+            assert state.tree.clients == expected.clients
+            assert result.frontier.pairs() == KERNELS["array"](expected, PM, CM).pairs()
+            state.close()
 
     def test_close_releases_tables_and_disables_session(self, chain_tree):
         state = SessionState(chain_tree, PM, CM, kernel="tuple")

@@ -193,6 +193,29 @@ class TestSessionLifecycle:
         assert stats["applies"] == 1
         assert stats["deltas_applied"] == 1
 
+    def test_infeasible_delta_is_not_kept(self):
+        # Direct load 6 + 11 at node 0 exceeds W=10: the delta parses and
+        # applies but its re-solve is infeasible.  The client gets an
+        # error and the server must not keep the delta either.
+        instance = BatchInstance(paper_tree(60, rng=3), 10, power_model=PM)
+        truth = _ground_truth(instance, [[AddClient(0, 1)]])
+
+        async def run():
+            async with BatchServer(max_delay=0.01) as server:
+                host, port = await server.listen()
+                async with await ServeClient.connect(host, port) as client:
+                    sess = await client.session(instance)
+                    with pytest.raises(ServeError, match="exceeds"):
+                        await sess.delta([AddClient(0, 11)])
+                    good = await sess.delta([AddClient(0, 1)])
+                    stats = await sess.close()
+                return [sess.result["points"], good["result"]["points"]], stats
+
+        seen, stats = asyncio.run(run())
+        assert seen == truth
+        assert stats["errors"] == 1
+        assert stats["deltas_applied"] == 1
+
 
 class TestDisconnectCleanup:
     def test_disconnect_mid_session_does_not_poison_the_pool(self):

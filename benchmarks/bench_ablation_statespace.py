@@ -2,7 +2,8 @@
 
 Theorem 1 bounds the MinCost-WithPre work by ``O(N·(N-E+1)²·(E+1)²)``
 table-cell operations; with subtree-bounded tables the *measured* totals
-sit far below the bound.  For the power engine, the Pareto prune ratio
+of the Theorem-1 kernel (``theorem1_update``, which
+``instrument_replica_update`` runs) sit far below the bound.  For the power engine, the Pareto prune ratio
 shows how much of the Theorem-3 count-vector space dominance eliminates.
 """
 

@@ -437,6 +437,8 @@ def solve_batch(
     errors_out: dict[str, Exception] | None = None,
     solve_timeout: float | None = None,
     quarantine: QuarantineRegistry | None = None,
+    keys: Sequence[tuple[Canonical, str]] | None = None,
+    fan_out: bool = True,
 ) -> list[Any]:
     """Solve many instances with canonical dedupe, caching and parallelism.
 
@@ -493,6 +495,14 @@ def solve_batch(
         Digests already quarantined fail fast with
         :class:`~repro.exceptions.QuarantinedError` *before* reaching a
         pool; digests convicted of crashing/hanging this call are added.
+    keys:
+        Optional ``policy.instance_key`` of each instance, in input
+        order, for callers that already canonicalised them (the serving
+        tier keys its requests before they reach a micro-batch).
+    fan_out:
+        ``False`` skips the fan-out and returns each instance's canonical
+        cache record instead (``None`` where its digest failed), for
+        callers that fan records out per waiter themselves.
 
     Returns
     -------
@@ -529,7 +539,12 @@ def solve_batch(
     for index, instance in enumerate(instances):
         policy.check_instance(instance, index)
 
-    keys = [policy.instance_key(i) for i in instances]
+    if keys is None:
+        keys = [policy.instance_key(i) for i in instances]
+    elif len(keys) != len(instances):
+        raise ConfigurationError(
+            f"got {len(keys)} keys for {len(instances)} instances"
+        )
     canonicals = [c for c, _ in keys]
     digests = [d for _, d in keys]
 
@@ -628,6 +643,8 @@ def solve_batch(
 
     if records_out is not None:
         records_out.update(records)
+    if not fan_out:
+        return [records.get(digest) for digest in digests]
 
     # Fan out: map canonical solutions through each instance's inverse
     # relabelling, re-verify on the original tree and re-price.

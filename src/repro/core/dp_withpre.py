@@ -4,7 +4,37 @@ Given a tree with pre-existing servers ``E``, find the replica set ``R``
 minimising ``cost(R) = R + (R-e)·create + (E-e)·delete`` (Equation 2), or
 any user-supplied cost of ``(servers, reused, pre-existing)``.
 
-This implements Algorithms 1–4 of the paper:
+Two exact kernels answer it; :func:`replica_update` picks one.
+
+**Flow kernel (Equation 2).**  Equation 2 is linear in the reused count
+``e`` and the new count ``n``: ``cost = e·(1 − delete) + n·(1 + create) +
+|E|·delete``.  An optimal placement therefore minimises a sum of
+per-server weights, and each node needs one scalar per residual flow
+``r ∈ [0, W]`` leaving it, not a table over ``(e, n)``.  Node ``j`` keeps
+a monotone *staircase*: the least weight of a placement inside
+``subtree_j`` that lets at most ``r`` requests leave ``j``.  Its
+children's staircases are merged by an O(W²) min-plus product over the
+shared flow budget; ``j`` then either passes the merged flow on or hosts
+a server absorbing up to ``W``.  Childless children are folded in first,
+one group per server weight, by the sorted-load closed form below.
+Tables only span flows a subtree can produce, so a large ``W`` costs at
+most the subtree's request total.  The total is O(N·W²).
+
+* **Exact weights.**  Both weights become Python ints over a common power
+  of two (``float.as_integer_ratio``), and only those ints are compared.
+  When ``delete > 1`` a reused server has negative weight, so keeping a
+  pre-existing server idle (flow 0) pays, at any node, the root included.
+* **Pricing and ties.**  The reported cost is the float expression of
+  :meth:`UniformCostModel.total` on the chosen counts, so it is
+  bit-identical to the Theorem-1 kernel's whenever the two pick the same
+  exact minimum.  Different ``(e, n)`` pairs tie exactly only for prices
+  whose Equation-2 sums are exact in floats, where any pick prices the
+  same; for other float prices the exact weight is never above the
+  Theorem-1 kernel's pick, which minimises rounded sums.  Backtracking
+  prefers passing flow on over hosting, and the first split in flow order.
+
+**Theorem-1 kernel (any cost function).**  :func:`theorem1_update`
+implements Algorithms 1–4 of the paper:
 
 * ``init`` / ``main`` (Algorithms 1–2) become a single post-order pass that
   allocates per-node tables ``minr_j[e, n]`` — the minimal number of
@@ -29,21 +59,21 @@ differ only between equal-cost optima:
   ``n ≤ |subtree_j|``) instead of the global ``(E+1)×(N-E+1)`` bound — the
   classic small-to-large argument; values are identical where both exist,
   and out-of-bound cells are provably infeasible;
-* **leaf batching**: a node's childless children are folded in as one
-  closed-form offer.  With the loads of the pre-existing leaves ``P`` and
-  of the other leaves ``N`` sorted in descending order (ties to the lower
-  node id), hosting ``a`` and ``b`` of them leaves
-  ``(ΣP − top_a(P)) + (ΣN − top_b(N))`` requests.  That is the min-plus
-  product of the single-leaf offers, because capping at ``W`` commutes
-  with the product when every value is non-negative.  Each internal-child
-  merge loops over whichever operand has fewer feasible cells and takes a
-  vectorised minimum into the output window;
-* **lazy argmin recovery**: instead of O(N) ``req`` vectors per cell, each
-  merge keeps its input accumulator and offer, and backtracking re-finds
-  one optimal split per merge along the chosen path with a vectorised
-  equality search; a leaf batch gives back its top-``a`` / top-``b``
-  leaves.  Tables use the narrowest unsigned dtype holding the sum of two
-  cells, so no subtree size is capped;
+* **leaf batching** (shared with the flow kernel): a node's childless
+  children are folded in as one closed-form offer.  With the loads of the
+  pre-existing leaves ``P`` and of the other leaves ``N`` sorted in
+  descending order (ties to the lower node id), hosting ``a`` and ``b`` of
+  them leaves ``(ΣP − top_a(P)) + (ΣN − top_b(N))`` requests.  That is the
+  min-plus product of the single-leaf offers, because capping at ``W``
+  commutes with the product when every value is non-negative.  Each
+  internal-child merge loops over whichever operand has fewer feasible
+  cells and takes a vectorised minimum into the output window;
+* **lazy argmin recovery** (shared with the flow kernel): instead of O(N)
+  ``req`` vectors per cell, each merge keeps its input accumulator and
+  offer, and backtracking re-finds one optimal split per merge along the
+  chosen path; a leaf batch gives back its top-``a`` / top-``b`` leaves.
+  Tables use the narrowest unsigned dtype holding the sum of two cells, so
+  no subtree size is capped;
 * **vectorised Equation-2 root pricing**: a :class:`UniformCostModel`
   prices the whole root table in one numpy expression with the float
   operation order of :meth:`UniformCostModel.total`, keeping the first
@@ -51,13 +81,21 @@ differ only between equal-cost optima:
   any other :class:`CostLike` is priced cell by cell in the same order.
 
 Worst-case complexity matches Theorem 1: O(N · (N-E+1)² · (E+1)²) ⊆ O(N⁵).
+
+**Dispatch.**  :func:`replica_update` runs the flow kernel when the cost
+model is exactly a :class:`UniformCostModel` with finite prices, and the
+Theorem-1 kernel for any other :class:`CostLike`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from collections.abc import Iterable
-from typing import TYPE_CHECKING, Protocol
+from itertools import accumulate
+from operator import add, sub
+from typing import TYPE_CHECKING, Protocol, Union
 
 import numpy as np
 
@@ -70,13 +108,23 @@ from repro.core.solution import PlacementResult
 from repro.tree.model import Tree
 from repro.tree.validate import check_preexisting
 
-__all__ = ["replica_update", "CostLike", "RootChoice"]
+__all__ = ["replica_update", "theorem1_update", "CostLike", "RootChoice"]
 
 #: One internal-child merge: ``(child, offer, accumulator before the merge)``.
 _Step = tuple[int, np.ndarray, np.ndarray]
 #: Per non-leaf node: final table, its merges, and its batched pre-existing
 #: and other leaves, each sorted by load descending.
 _Node = tuple[np.ndarray, list[_Step], list[int], list[int]]
+#: A flow-kernel merge operand: an internal child, or a leaf group with
+#: its hosted count per flow budget.
+_Part = Union[int, tuple[list[int], list[int]]]
+#: A flow-kernel staircase: its ``(flow, least weight)`` steps, flow rising
+#: and weight falling; a budget between two steps gets the lower one.
+_Stair = list[tuple[int, int]]
+#: One flow-kernel merge: ``(operand, its staircase, accumulator before)``.
+_FlowStep = tuple[_Part, _Stair, _Stair]
+#: Per non-leaf node: own staircase, merged children, and the merges.
+_FlowNode = tuple[_Stair, _Stair, list[_FlowStep]]
 
 
 class CostLike(Protocol):
@@ -157,8 +205,6 @@ def replica_update(
     capacity: int,
     preexisting: Iterable[int] = (),
     cost_model: CostLike | None = None,
-    *,
-    stats: CoreDPStats | None = None,
 ) -> PlacementResult:
     """Solve MinCost-WithPre optimally (paper Algorithm 4, ``replica-update``).
 
@@ -174,9 +220,6 @@ def replica_update(
         ``total(n_servers, n_reused, n_preexisting)`` method works
         ("the total cost is an arbitrary function of the number of existing
         servers that are reused, and of the number of new servers", §1).
-    stats:
-        Optional :class:`repro.perf.CoreDPStats` collector; when given it
-        accumulates table-size statistics (negligible overhead).
 
     Returns
     -------
@@ -189,6 +232,37 @@ def replica_update(
     InfeasibleError
         When no valid placement exists (some direct client load exceeds
         ``capacity``).
+
+    An Equation-2 model with finite prices runs the O(N·W²) flow kernel;
+    any other model runs :func:`theorem1_update` (module docstring).
+    """
+    model: CostLike = cost_model if cost_model is not None else UniformCostModel()
+    if (
+        type(model) is not UniformCostModel
+        or not math.isfinite(model.create)
+        or not math.isfinite(model.delete)
+    ):
+        return theorem1_update(tree, capacity, preexisting, model)
+    if capacity < 1:
+        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
+    return _flow_update(tree, capacity, check_preexisting(tree, preexisting), model)
+
+
+def theorem1_update(
+    tree: Tree,
+    capacity: int,
+    preexisting: Iterable[int] = (),
+    cost_model: CostLike | None = None,
+    *,
+    stats: CoreDPStats | None = None,
+) -> PlacementResult:
+    """MinCost-WithPre by Theorem 1's ``(e, n)`` tables, for any cost model.
+
+    Takes the arguments of :func:`replica_update` and returns the same
+    kind of result; it is the oracle the flow kernel is tested against.
+
+    ``stats`` is an optional :class:`repro.perf.CoreDPStats` collector;
+    when given it accumulates table-size statistics (negligible overhead).
     """
     if capacity < 1:
         raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
@@ -314,4 +388,164 @@ def _reconstruct(
                 stack.append((child, de - is_pre, dn - (not is_pre)))
             e, n, after = e - de, n - dn, before
         replicas += pre[:e] + new[:n]
+    return replicas
+
+
+# ---------------------------------------------------------------------------
+# flow kernel (Equation 2)
+# ---------------------------------------------------------------------------
+
+
+def _weights(model: UniformCostModel) -> tuple[int, int]:
+    """Exact ``(reused, new)`` server weights, scaled to ints by one power of two."""
+    create_num, create_den = model.create.as_integer_ratio()
+    delete_num, delete_den = model.delete.as_integer_ratio()
+    scale = max(create_den, delete_den)
+    return (
+        scale - delete_num * (scale // delete_den),
+        scale + create_num * (scale // create_den),
+    )
+
+
+def _leaf_group(
+    leaves: list[int], loads: list[int], weight: int, capacity: int
+) -> tuple[_Stair, list[int]]:
+    """Staircase of childless children sharing one server weight.
+
+    ``leaves`` are sorted by load descending; hosting the first ``k``
+    leaves the least flow for ``k`` servers.  Returns the staircase and
+    the hosted count at each of its steps.
+    """
+    if weight < 0:  # every such server pays for itself, idle or not
+        return [(0, len(leaves) * weight)], [len(leaves)]
+    flow = sum(loads[c] for c in leaves)
+    flows = [flow]  # ``flows[k]``: left over with the first k hosted
+    for c in leaves:
+        if not flow:  # zero-load leaves never need a server
+            break
+        flow -= loads[c]
+        flows.append(flow)
+    counts = [k for k in range(len(flows) - 1, -1, -1) if flows[k] <= capacity]
+    if not weight:
+        del counts[1:]  # free servers: only the fewest reaching flow 0
+    return [(flows[k], k * weight) for k in counts], counts
+
+
+def _at(stair: _Stair, flow: int) -> int:
+    """Least weight letting at most ``flow`` requests leave."""
+    best = stair[0][1]
+    for f, w in stair:
+        if f > flow:
+            break
+        best = w
+    return best
+
+
+def _minplus(a: _Stair, b: _Stair, capacity: int) -> _Stair:
+    """Staircase of two independent parts sharing one flow budget."""
+    if len(a) == 1:
+        fa, wa = a[0]
+        return [(fa + fb, wa + wb) for fb, wb in b if fa + fb <= capacity]
+    out: _Stair = []
+    for f, w in sorted(
+        (fa + fb, wa + wb) for fa, wa in a for fb, wb in b if fa + fb <= capacity
+    ):
+        if not out or w < out[-1][1]:
+            out.append((f, w))
+    return out
+
+
+def _flow_split(
+    before: _Stair, table: _Stair, flow: int, target: int
+) -> tuple[int, int]:
+    """Steps ``(i, k)`` of ``before`` and ``table`` sharing ``flow`` at
+    total weight ``target``."""
+    for i, (fi, wi) in enumerate(before):
+        for k, (fk, wk) in enumerate(table):
+            if fi + fk <= flow and wi + wk == target:
+                return i, k
+    raise SolverError(f"backtracking found no split for flow {flow}; DP tables corrupt")
+
+
+def _flow_update(
+    tree: Tree, capacity: int, eset: frozenset[int], model: UniformCostModel
+) -> PlacementResult:
+    """The flow kernel behind :func:`replica_update` (module docstring)."""
+    w_pre, w_new = _weights(model)
+    loads = tree.client_loads.tolist()
+    root = tree.root
+    nodes: dict[int, _FlowNode] = {}
+    for j in tree.post_order().tolist():
+        load = loads[j]
+        if load > capacity:
+            raise InfeasibleError(
+                f"direct client load {load} at node {j} exceeds W={capacity}",
+                node=j,
+            )
+        kids = tree.children(j)
+        if not kids and j != root:
+            continue  # batched into the parent's leaf groups
+        by_load = sorted(
+            (c for c in kids if c not in nodes), key=loads.__getitem__, reverse=True
+        )
+        parts: list[tuple[_Part, _Stair]] = []
+        for group, weight in (
+            ([c for c in by_load if c in eset], w_pre),
+            ([c for c in by_load if c not in eset], w_new),
+        ):
+            if group:
+                table, counts = _leaf_group(group, loads, weight, capacity)
+                parts.append(((group, counts), table))
+        parts += [(c, nodes[c][0]) for c in kids if c in nodes]
+        acc: _Stair = [(0, 0)]
+        steps: list[_FlowStep] = []
+        for part, table in parts:
+            steps.append((part, table, acc))
+            acc = _minplus(acc, table, capacity)
+        # Host j (absorbing up to W) or pass load + children's flow on.
+        host = _at(acc, capacity - load) + (w_pre if j in eset else w_new)
+        own = [(f + load, w) for f, w in acc if f + load <= capacity and w < host]
+        if not own or own[0][0]:
+            own.insert(0, (0, host))
+        nodes[j] = (own, acc, steps)
+
+    replicas = _flow_reconstruct(nodes, loads, capacity, root)
+    n_reused = sum(1 for v in replicas if v in eset)
+    cost = model.total(len(replicas), n_reused, len(eset))
+    result = PlacementResult.from_replicas(
+        tree, replicas, capacity, preexisting=eset, cost=cost
+    )
+    hosted = root in result.replicas
+    root_pre = hosted and root in eset
+    choice = RootChoice(
+        n_reused - root_pre,
+        len(replicas) - n_reused - (hosted and not root_pre),
+        result.loads.get(root, 0),
+        hosted,
+    )
+    return dataclasses.replace(result, extra={"root_choice": choice})
+
+
+def _flow_reconstruct(
+    nodes: dict[int, _FlowNode], loads: list[int], capacity: int, root: int
+) -> list[int]:
+    """Unwind the staircases from flow 0 at the root into a replica set."""
+    replicas: list[int] = []
+    stack: list[tuple[int, int]] = [(root, 0)]
+    while stack:
+        j, budget = stack.pop()
+        own, after, steps = nodes[j]
+        load = loads[j]
+        if budget >= load and _at(after, budget - load) == _at(own, budget):
+            budget -= load
+        else:
+            replicas.append(j)
+            budget = capacity - load
+        for part, table, before in reversed(steps):
+            i, k = _flow_split(before, table, budget, _at(after, budget))
+            if isinstance(part, int):
+                stack.append((part, table[k][0]))
+            else:
+                replicas += part[0][: part[1][k]]
+            budget, after = before[i][0], before
     return replicas

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 
-import numpy as np
-
 from repro.exceptions import InfeasibleError
 from repro.tree.model import Tree
 
@@ -36,20 +34,20 @@ def server_loads(tree: Tree, replicas: Iterable[int]) -> tuple[dict[int, int], i
     ``unserved`` is the request volume no replica absorbs (0 for any valid
     placement).
     """
-    in_r = np.zeros(tree.n_nodes, dtype=bool)
+    in_r = [False] * tree.n_nodes
     for v in replicas:
         in_r[v] = True
-    flow = tree.client_loads.copy()
+    flow = tree.client_loads.tolist()
+    parents = tree.parents
     loads: dict[int, int] = {}
-    for v in tree.post_order():
-        vi = int(v)
-        if in_r[vi]:
-            loads[vi] = int(flow[vi])
-            flow[vi] = 0
-        p = tree.parent(vi)
+    for v in tree.post_order().tolist():
+        if in_r[v]:
+            loads[v] = flow[v]
+            flow[v] = 0
+        p = parents[v]
         if p is not None:
-            flow[p] += flow[vi]
-    return loads, int(flow[tree.root])
+            flow[p] += flow[v]
+    return loads, flow[tree.root]
 
 
 def assign_clients(tree: Tree, replicas: Iterable[int]) -> list[int | None]:

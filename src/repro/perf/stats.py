@@ -4,8 +4,8 @@ The collectors are plain mutable objects the solvers update when one is
 passed in; overhead is a few integer additions per merge, so they are safe
 to enable in production runs.
 
-* :class:`CoreDPStats` — MinCost-WithPre (Theorem 1): table sizes are the
-  quantity the ``O(N·(N-E+1)²·(E+1)²)`` bound controls.
+* :class:`CoreDPStats` — MinCost-WithPre's Theorem-1 kernel: ``(e, n)``
+  table sizes are the quantity the ``O(N·(N-E+1)²·(E+1)²)`` bound controls.
 * :class:`ParetoDPStats` — the power frontier engine: label counts show
   how far Pareto pruning compresses the Theorem-3 count-vector space
   (and how the NP-hardness manifests as label growth on adversarial
@@ -374,7 +374,7 @@ class ClusterStats:
 
 @dataclass
 class CoreDPStats:
-    """Table statistics of one MinCost-WithPre run.
+    """``(e, n)`` table statistics of one Theorem-1 MinCost-WithPre run.
 
     A merge is recorded once per child that has children of its own and
     once per node whose childless children are folded in as a leaf batch.
@@ -527,11 +527,12 @@ def instrument_replica_update(
     preexisting: Iterable[int] = (),
     cost_model: CostLike | None = None,
 ) -> tuple["PlacementResult", CoreDPStats]:
-    """Run :func:`repro.core.dp_withpre.replica_update` with a collector."""
-    from repro.core.dp_withpre import replica_update
+    """Run the Theorem-1 kernel (:func:`repro.core.dp_withpre
+    .theorem1_update`) with a collector of its ``(e, n)`` table sizes."""
+    from repro.core.dp_withpre import theorem1_update
 
     stats = CoreDPStats()
-    result = replica_update(tree, capacity, preexisting, cost_model, stats=stats)
+    result = theorem1_update(tree, capacity, preexisting, cost_model, stats=stats)
     return result, stats
 
 

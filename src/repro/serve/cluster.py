@@ -201,15 +201,28 @@ class ClusterRouter:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> ClusterRouter:
-        """Spawn the whole fleet (idempotent); no front socket yet."""
+        """Spawn the whole fleet (idempotent); no front socket yet.
+
+        Workers boot concurrently.  If any spawn fails, the ones that
+        started are stopped before the first error is re-raised, so a
+        failed start leaves no worker behind.
+        """
         if self._closing:
             raise ConfigurationError("cluster has been stopped")
         if not self._started:
             self._started = True
-            for name in self._names:
-                self._handles[name] = await self._spawner.spawn(
-                    name, self._config
+            spawned = await asyncio.gather(
+                *(self._spawner.spawn(name, self._config) for name in self._names),
+                return_exceptions=True,
+            )
+            handles = [h for h in spawned if isinstance(h, WorkerHandle)]
+            if len(handles) < len(spawned):
+                self._started = False
+                await asyncio.gather(
+                    *(h.stop() for h in handles), return_exceptions=True
                 )
+                raise next(h for h in spawned if isinstance(h, BaseException))
+            self._handles = dict(zip(self._names, handles, strict=True))
         return self
 
     async def listen(

@@ -17,9 +17,11 @@ cache and one solve backend:
   shared :class:`~repro.batch.cache.ResultCache`;
 * the rest land on a priority queue that a drain task empties in
   micro-batches through :func:`~repro.batch.solve_batch` on a dedicated
-  worker thread — the dedupe / cache / verified fan-out machinery is
+  worker thread — the dedupe / cache / supervised-solve machinery is
   reused, not reimplemented — optionally backed by one shared
   process pool (``workers > 1``) that stays warm across micro-batches.
+  The micro-batch reuses the canonical keys the request path computed
+  and only resolves records; each waiter does the one verified fan-out.
 
 Client cancellation never propagates into a shared solve: waiters hold
 the in-flight future behind :func:`asyncio.shield`, and the job itself
@@ -44,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.batch.cache import ResultCache
+from repro.batch.canonical import Canonical
 from repro.batch.executor import SupervisedPool, solve_batch
 from repro.batch.instance import BatchInstance
 from repro.batch.quarantine import QuarantineRegistry, bisect_culprits
@@ -176,16 +179,18 @@ class _Job:
     the record through its own instance's inverse relabelling.
     """
 
-    __slots__ = ("digest", "solver", "instance", "future")
+    __slots__ = ("digest", "canonical", "solver", "instance", "future")
 
     def __init__(
         self,
         digest: str,
+        canonical: Canonical,
         solver: str,
         instance: BatchInstance,
         future: asyncio.Future,
     ) -> None:
         self.digest = digest
+        self.canonical = canonical
         self.solver = solver
         self.instance = instance
         self.future = future
@@ -469,7 +474,7 @@ class BatchServer:
                         asyncio.get_running_loop().create_future()
                     )
                     future.add_done_callback(_consume_exception)
-                    job = _Job(digest, solver, instance, future)
+                    job = _Job(digest, canonical, solver, instance, future)
                     self._jobs[digest] = job
                     served = "solve"
                     pstats.solves_scheduled += 1
@@ -649,10 +654,16 @@ class BatchServer:
         records: dict[str, dict[str, Any]],
         errors: dict[str, Exception],
     ) -> None:
-        """One blocking ``solve_batch`` call (runs on the drain thread)."""
+        """One blocking ``solve_batch`` call (runs on the drain thread).
+
+        Resolves records only: the jobs' keys come from the request path,
+        and every waiter fans the record out itself.
+        """
         solve_batch(
             [job.instance for job in jobs],
             solver=solver,
+            keys=[(job.canonical, job.digest) for job in jobs],
+            fan_out=False,
             workers=self._workers,
             cache=self.cache,
             pool=self._pool,

@@ -102,6 +102,42 @@ class TestDedupeAndCache:
         assert cache.stats.hits == 3
         assert [r.cost for r in first] == [r.cost for r in second]
 
+    def test_precomputed_keys_resolve_records_without_fan_out(self, monkeypatch):
+        from repro.batch import get_policy
+
+        batch = _mixed_batch(n_unique=2, n_total=5)
+        policy = get_policy("dp")
+        keys = [policy.instance_key(i) for i in batch]
+        calls = {"instance_key": 0, "fan_out": 0}
+        for name in calls:
+
+            def counted(*args, _fn=getattr(policy, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(policy, name, counted)
+        records: dict = {}
+        got = solve_batch(
+            batch, solver="dp", keys=keys, fan_out=False, records_out=records
+        )
+        assert calls == {"instance_key": 0, "fan_out": 0}
+        assert got == [records[digest] for _, digest in keys]
+        assert len(records) == 2
+        # The records fan out to the answers of a plain call.
+        monkeypatch.undo()
+        direct = solve_batch(batch, solver="dp")
+        for instance, (canonical, digest), record, want in zip(
+            batch, keys, got, direct, strict=True
+        ):
+            fanned = policy.fan_out(instance, canonical, record, digest)
+            assert fanned.replicas == want.replicas
+            assert fanned.cost == want.cost
+
+    def test_keys_must_match_instances(self):
+        batch = _mixed_batch(n_unique=1, n_total=2)
+        with pytest.raises(ConfigurationError):
+            solve_batch(batch, solver="dp", keys=[])
+
     def test_no_cache_still_dedupes(self):
         from repro.perf.stats import BatchCacheStats
 

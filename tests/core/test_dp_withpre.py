@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.costs import UniformCostModel
 from repro.core.dp_nopre import dp_nopre_placement
-from repro.core.dp_withpre import replica_update
+from repro.core.dp_withpre import replica_update, theorem1_update
 from repro.core.exhaustive import exhaustive_min_cost
 from repro.core.solution import evaluate_placement, verify_placement
 from repro.exceptions import ConfigurationError, InfeasibleError
@@ -270,8 +270,9 @@ class TestStress:
 
 
 class _Opaque:
-    """Equation-2 prices behind a plain ``CostLike``, which the kernel
-    prices cell by cell: the reference for the vectorised root pricing."""
+    """Equation-2 prices behind a plain ``CostLike``, which the Theorem-1
+    kernel prices cell by cell: the reference for its vectorised root
+    pricing."""
 
     def __init__(self, model: UniformCostModel) -> None:
         self.model = model
@@ -290,8 +291,8 @@ class TestRootPricing:
             pre |= {tree.root}  # prices the idle reused root too
         prices = [(0.1, 0.01), (0.0, 5.0), (0.3, 1.5), (2.0, 0.5)][seed % 4]
         model = UniformCostModel(*prices)
-        fast = replica_update(tree, 10, pre, model)
-        slow = replica_update(tree, 10, pre, _Opaque(model))
+        fast = theorem1_update(tree, 10, pre, model)
+        slow = theorem1_update(tree, 10, pre, _Opaque(model))
         assert fast.cost == slow.cost
         assert fast.extra["root_choice"] == slow.extra["root_choice"]
         assert fast.replicas == slow.replicas

@@ -39,6 +39,7 @@ from repro.serve import (
     ServeOverloadedError,
     WorkerConfig,
 )
+from repro.serve.spawner import WorkerHandle
 from repro.tree.generators import paper_tree, random_preexisting
 
 # Import for the slow_dp registration side effect (see that module).
@@ -476,3 +477,36 @@ class TestClusterOps:
                 )
 
         assert asyncio.run(run())
+
+
+class _SecondSpawnFails(InProcessSpawner):
+    """Boots ``w0``; the second spawn call fails like a bad exec."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+        self.started: list[WorkerHandle] = []
+
+    async def spawn(self, name, config):
+        self.calls += 1
+        if self.calls == 2:
+            raise OSError("exec failed")
+        handle = await super().spawn(name, config)
+        self.started.append(handle)
+        return handle
+
+
+class TestClusterStart:
+    def test_failed_start_stops_the_workers_it_spawned(self):
+        spawner = _SecondSpawnFails()
+
+        async def run():
+            router = ClusterRouter(spawner, 3, WorkerConfig(max_delay=0.001))
+            with pytest.raises(OSError, match="exec failed"):
+                async with router:
+                    pass  # pragma: no cover - start raises first
+
+        asyncio.run(run())
+        assert spawner.calls == 3  # every worker was spawned concurrently
+        assert sorted(h.name for h in spawner.started) == ["w0", "w2"]
+        assert not any(h.alive for h in spawner.started)

@@ -144,6 +144,41 @@ class TestCoalescing:
         for got, want in zip(results, direct, strict=True):
             assert _wire("dp", got) == _wire("dp", want)
 
+    def test_one_canonicalisation_and_one_fan_out_per_request(self, monkeypatch):
+        """The micro-batch reuses the request path's keys and leaves the
+        fan-out to the waiters: each request canonicalises once and fans
+        out once, coalesced relabelled duplicates included."""
+        base = _instance(seed=13, n_nodes=30)
+        rng = np.random.default_rng(5)
+        batch = [base, _instance(seed=14, n_nodes=30)]
+        for _ in range(3):
+            perm = rng.permutation(base.tree.n_nodes)
+            tree, pre = relabel_tree(base.tree, perm, base.preexisting)
+            batch.append(BatchInstance(tree, base.capacity, pre, base.cost_model))
+        direct = solve_batch(batch, solver="dp")
+        policy = get_policy("dp")
+        calls = {"instance_key": 0, "fan_out": 0}
+        for name in calls:
+
+            def counted(*args, _fn=getattr(policy, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(policy, name, counted)
+
+        async def run():
+            async with BatchServer(max_delay=0.01) as server:
+                results = await asyncio.gather(
+                    *(server.submit(i, solver="dp") for i in batch)
+                )
+                return results, server
+
+        results, server = asyncio.run(run())
+        assert server.stats.policy("dp").solves_scheduled == 2
+        assert calls == {"instance_key": len(batch), "fan_out": len(batch)}
+        for got, want in zip(results, direct, strict=True):
+            assert _wire("dp", got) == _wire("dp", want)
+
     def test_priorities_accepted(self):
         instance = _instance(seed=5, n_nodes=20)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.costs import ModalCostModel, UniformCostModel
-from repro.core.dp_withpre import replica_update
+from repro.core.dp_withpre import theorem1_update
 from repro.perf import (
     CoreDPStats,
     ParetoDPStats,
@@ -42,7 +42,7 @@ class TestCoreDPStats:
     def test_stats_do_not_change_result(self, rng):
         tree = paper_tree(30, rng=rng)
         pre = random_preexisting(tree, 8, rng=rng)
-        plain = replica_update(tree, 10, pre)
+        plain = theorem1_update(tree, 10, pre)
         instrumented, _ = instrument_replica_update(tree, 10, pre)
         assert plain.replicas == instrumented.replicas
         assert plain.cost == instrumented.cost

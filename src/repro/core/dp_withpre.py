@@ -515,13 +515,10 @@ def _flow_update(
     result = PlacementResult.from_replicas(
         tree, replicas, capacity, preexisting=eset, cost=cost
     )
-    hosted = root in result.replicas
-    root_pre = hosted and root in eset
+    inside = [v for v in replicas if v != root]
+    e = sum(1 for v in inside if v in eset)
     choice = RootChoice(
-        n_reused - root_pre,
-        len(replicas) - n_reused - (hosted and not root_pre),
-        result.loads.get(root, 0),
-        hosted,
+        e, len(inside) - e, result.loads.get(root, 0), len(inside) < len(replicas)
     )
     return dataclasses.replace(result, extra={"root_choice": choice})
 

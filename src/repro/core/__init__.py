@@ -4,8 +4,10 @@
   (minimal replica count, oblivious to pre-existing servers);
 * :func:`~repro.core.dp_nopre.dp_nopre_placement` — classical
   MinCost-NoPre dynamic program;
-* :func:`~repro.core.dp_withpre.replica_update` — the paper's optimal
-  MinCost-WithPre algorithm (Theorem 1);
+* :func:`~repro.core.dp_withpre.replica_update` — optimal
+  MinCost-WithPre: a flow-indexed kernel for Equation 2, and the paper's
+  Theorem-1 algorithm (:func:`~repro.core.dp_withpre.theorem1_update`)
+  for any other cost function;
 * :mod:`~repro.core.exhaustive` — brute-force oracles for tests;
 * :mod:`~repro.core.solution` / :mod:`~repro.core.costs` — shared
   placement records, validity checks and cost models.
@@ -13,7 +15,7 @@
 
 from repro.core.costs import ModalCostModel, UniformCostModel
 from repro.core.dp_nopre import dp_min_replicas, dp_nopre_placement
-from repro.core.dp_withpre import replica_update
+from repro.core.dp_withpre import replica_update, theorem1_update
 from repro.core.exhaustive import (
     exhaustive_min_cost,
     exhaustive_min_replicas,
@@ -45,5 +47,6 @@ __all__ = [
     "iter_valid_placements",
     "replica_update",
     "server_loads",
+    "theorem1_update",
     "verify_placement",
 ]

@@ -89,13 +89,10 @@ Theorem-1 kernel for any other :class:`CostLike`.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Iterable
-from itertools import accumulate
-from operator import add, sub
-from typing import TYPE_CHECKING, Protocol, Union
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -117,7 +114,7 @@ _Step = tuple[int, np.ndarray, np.ndarray]
 _Node = tuple[np.ndarray, list[_Step], list[int], list[int]]
 #: A flow-kernel merge operand: an internal child, or a leaf group with
 #: its hosted count per flow budget.
-_Part = Union[int, tuple[list[int], list[int]]]
+_Part = int | tuple[list[int], list[int]]
 #: A flow-kernel staircase: its ``(flow, least weight)`` steps, flow rising
 #: and weight falling; a budget between two steps gets the lower one.
 _Stair = list[tuple[int, int]]
@@ -520,7 +517,7 @@ def _flow_update(
     choice = RootChoice(
         e, len(inside) - e, result.loads.get(root, 0), len(inside) < len(replicas)
     )
-    return dataclasses.replace(result, extra={"root_choice": choice})
+    return replace(result, extra={"root_choice": choice})
 
 
 def _flow_reconstruct(

@@ -3,8 +3,9 @@
 Theorem 1 bounds the MinCost-WithPre work by ``O(N·(N-E+1)²·(E+1)²)``
 table-cell operations; with subtree-bounded tables the *measured* totals
 of the Theorem-1 kernel (``theorem1_update``, which
-``instrument_replica_update`` runs) sit far below the bound.  For the power engine, the Pareto prune ratio
-shows how much of the Theorem-3 count-vector space dominance eliminates.
+``instrument_replica_update`` runs) sit far below the bound.  For the
+power engine, the Pareto prune ratio shows how much of the Theorem-3
+count-vector space dominance eliminates.
 """
 
 from __future__ import annotations

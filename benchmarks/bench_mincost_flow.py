@@ -106,7 +106,7 @@ def test_flow_speedup(floor, emit, emit_json):
     assert report["sizes"][str(GATED_SIZE)]["speedup"] >= FLOORS[floor]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(mincost_instances(max_nodes=800), st.sampled_from(GRID))
 def test_deep_oracle_ladder(instance, price):
     model = UniformCostModel(*price)

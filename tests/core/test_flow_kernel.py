@@ -182,9 +182,9 @@ class TestDispatch:
         got = replica_update(tree, 10, pre, model)
         assert got.replicas == theorem1_update(tree, 10, pre, model).replicas
 
-    def test_wide_capacity_tables_stay_sparse(self):
-        # W far above every subtree total: every staircase holds at most
-        # the subtree's reachable flows.
+    def test_capacity_above_every_subtree_total(self):
+        # W far above every subtree total: staircases span only the flows
+        # a subtree can produce, so a huge W costs nothing extra.
         tree = paper_tree(400, rng=7)
         pre = random_preexisting(tree, 50, rng=8)
         model = UniformCostModel(0.1, 0.01)

@@ -173,12 +173,15 @@ def apply_deltas(
     indices address the client tuple as it stands when their delta is
     reached).  The dirty set contains every node whose own subtree-code
     inputs changed — the seed set for
-    :meth:`repro.power.FrontStore.advance_codes`.
+    :meth:`repro.power.FrontStore.advance_codes`.  A batch of client
+    edits only patches a copy of ``tree`` (:meth:`Tree.with_clients`
+    with ``touched``); a batch with a migration rebuilds the tree.
     """
     n = tree.n_nodes
     parents: list[int | None] = list(tree.parents)
     clients: list[Client] = list(tree.clients)
     dirty: set[int] = set()
+    migrated = False
     for delta in deltas:
         if isinstance(delta, AddClient):
             if not (0 <= delta.node < n):
@@ -226,9 +229,14 @@ def apply_deltas(
             parents[v] = q
             dirty.add(old_parent)
             dirty.add(q)
+            migrated = True
         else:
             raise ConfigurationError(f"unknown delta object {delta!r}")
-    return Tree(parents, clients, validate=False), dirty
+    if migrated:
+        return Tree(parents, clients, validate=False), dirty
+    # Client edits only: the structure is unchanged and the dirty nodes
+    # are exactly the ones whose clients changed, so patch a copy.
+    return tree.with_clients(clients, touched=dirty), dirty
 
 
 @dataclass

@@ -51,6 +51,41 @@ count-vector oracle).  The three rules that make it hold:
    correctly-rounded ``round`` (``np.round`` scales-and-rints, which can
    differ in the last ulp) and flows through the shared
    :func:`~repro.power.dp_power_pareto.pareto_min_sweep` tie-break.
+   Before rounding it drops only candidates another one beats by more
+   than 2e-9 in cost at no more power (:func:`_certainly_beaten`): the
+   sweep rejects those after rounding whatever the tie order.
+
+**Leaf-run fold.**  Paper trees are mostly leaves, and a leaf's table is
+one base label at flow = its load, which the general merge would push
+through a dozen numpy calls.  So each node folds the *leading run* of
+its children — the longest prefix of childless ones — on small Python
+lists (:class:`_RunFold`), converts the accumulator to columns once,
+and hands it to the general path for the remaining children (internal
+ones, and any leaf after one).  The list fold is the per-child fold,
+exactly:
+
+* **Same candidates.**  Leaves go in child order; each offers to pass
+  its load up or to host at ``bisect_left(caps, load)``.  Empty leaves
+  take the identity skip under the same test (``alias_p`` sentinel and
+  a non-negative price), so idle reused leaves under ``delete > 1``
+  still may host; ``reuse_dg``/``create_dg`` and the ``W_M`` cap apply
+  unchanged.
+* **Same arithmetic and order.**  Sums are accumulator-first, and Python
+  float adds equal numpy float64 adds.  Each output flow is built in
+  the general path's order (accumulator flow × option, row-major;
+  single-operand flows before the swept ones) and swept by a stable
+  ``(g, p)`` sort plus the same accepted-only ``_EPS`` loop, so equal
+  ``(g, p)`` rows resolve to the same survivor.
+* **Same counters.**  Every folded leaf counts its merge, created,
+  generated and rejected candidates and records its table, so
+  :class:`~repro.perf.stats.ParetoDPStats` comes out unchanged.
+* **Provenance only for kept placed rows**, appended to the same log in
+  one batch; a kept pass row reuses its accumulator row's id, which
+  reconstructs the same ``{node: mode}`` placement.
+
+With a front store, nothing inside a run is published: a run that
+internal children follow gets one prefix entry, keyed by the usual
+``prefix_key`` chain over its leaf codes.
 
 All of the row kernel's structural fast paths are kept, in columnar
 form: identity skips for empty subtrees, verbatim front *aliasing* when
@@ -71,7 +106,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -328,6 +363,38 @@ def _sweep(
     return surv[np.asarray(keep, dtype=np.intp)], ends
 
 
+#: Root candidates this much cheaper than another one (and no more
+#: powerful) reject it whatever ``round(·, 9)`` does to either.
+_ROOT_MARGIN = 2e-9
+#: Magnitude below which a float64 resolves ``_ROOT_MARGIN`` with room to
+#: spare (its ulp is under 2.5e-10), so the margin argument holds.
+_ROOT_PREFILTER_MAX = 1e6
+
+
+def _certainly_beaten(
+    g: NDArray[np.float64], p: NDArray[np.float64]
+) -> NDArray[np.bool_]:
+    """Root candidates the rounded root sweep is certain to reject.
+
+    A candidate is beaten when another one is cheaper by more than
+    ``_ROOT_MARGIN`` at no more power.  Rounding to 9 decimals moves a
+    value by at most 0.5e-9, so the cheaper one still sorts strictly
+    first, and correctly rounded ``round`` is monotone, so its power
+    stays no larger: the ``_EPS`` sweep then rejects the beaten one
+    whether the cheaper one is kept or not, and a rejected candidate
+    never moves the sweep's threshold.  Dropping it changes nothing.
+    """
+    n = int(g.shape[0])
+    if n < 2 or not float(np.abs(g).max()) < _ROOT_PREFILTER_MAX:
+        return np.zeros(n, dtype=bool)
+    order = np.argsort(g)
+    least_p = np.minimum.accumulate(p[order])
+    cheaper = np.searchsorted(g[order], g - _ROOT_MARGIN, side="left")
+    beaten = cheaper > 0
+    beaten[beaten] = least_p[cheaper[beaten] - 1] <= p[beaten]
+    return beaten
+
+
 def _alias_table(
     prov: _ProvLog, rep_table: Mapping[int, _Front], iso: Any
 ) -> dict[int, _Front]:
@@ -354,6 +421,233 @@ def _alias_table(
 def _front_sizes(table: Mapping[int, _Front]) -> dict[int, Any]:
     """Sized per-flow view for :meth:`ParetoDPStats.record_table`."""
     return {f: front[0] for f, front in table.items()}
+
+
+def _leading_run(
+    children: Callable[[int], Sequence[int]], kids: Sequence[int]
+) -> int:
+    """Length of the longest prefix of ``kids`` whose nodes are childless."""
+    run = 0
+    while run < len(kids) and not children(kids[run]):
+        run += 1
+    return run
+
+
+#: A list-form front: ``(g, p, prov)`` rows in front order.
+_Rows = list[tuple[float, float, int]]
+
+
+def _list_sweep(cands: list[tuple[float, float, int, int]]) -> list[tuple]:
+    """:func:`_sweep` for one small bucket of ``(g, p, prov, mode)`` rows.
+
+    A stable sort by ``(g, p)`` keeps ties in build order, exactly as the
+    stable ``lexsort`` does; the ``_EPS`` sweep is the same scalar loop.
+    """
+    cands.sort(key=_GP)
+    kept = []
+    best = _INF
+    for cand in cands:
+        if cand[1] < best - _EPS:
+            best = cand[1]
+            kept.append(cand)
+    return kept
+
+
+@dataclass
+class _RunFold:
+    """Per-solve constants and counters of the leaf-run fold."""
+
+    loads: list[int]
+    pre: Mapping[int, int]
+    reuse_dg: Mapping[int, list[float]]
+    create_dg: list[float]
+    caps: Sequence[int]
+    mode_power: list[float]
+    alias_p: float
+    w_max: int
+    prov: _ProvLog
+    stats: ParetoDPStats | None
+    merges: int = 0
+    labels_created: int = 0
+    labels_generated: int = 0
+    merge_rejected: int = 0
+
+    def fold(
+        self,
+        leaves: Sequence[int],
+        acc: dict[int, _Front],
+        acc_is_base: bool,
+        load: int,
+    ) -> tuple[dict[int, _Front], bool]:
+        """Fold childless children into ``acc``, one leaf at a time.
+
+        Reproduces the general per-child fold of
+        :func:`power_frontier_array` for a child whose table is the single
+        base label at flow = its load: same candidates in the same build
+        order, same float adds, same sweeps, same counters.  Only kept
+        placed rows get provenance entries (a kept pass row keeps its
+        accumulator row's id, which reconstructs the same placement), and
+        they are written to the log in one batch.  Returns the new
+        accumulator and whether it is still the bare base label.
+        """
+        loads, pre, alias_p, w_max = self.loads, self.pre, self.alias_p, self.w_max
+        caps, mode_power, stats = self.caps, self.mode_power, self.stats
+        first_id = len(self.prov.kind)
+        #: (accumulator id, leaf, mode) of every kept placed row, in id order.
+        places: list[tuple[int, int, int]] = []
+
+        def placed(g: float, p: float, v: int, mode: int) -> tuple[float, float, int]:
+            places.append((v, c, mode))
+            return g, p, first_id + len(places) - 1
+
+        rows: dict[int, _Rows] | None = None
+        created = generated = rejected = 0
+        for c in leaves:
+            child_load = loads[c]
+            dg = self.reuse_dg[pre[c]] if c in pre else self.create_dg
+            # Identity fast path: an empty, placement-free leaf.
+            # repro-lint: ignore[float-eq] — audited sentinel.
+            if not child_load and alias_p == 0.0 and dg[0] >= 0.0:
+                if stats is not None:
+                    table: Mapping[int, Any] = (
+                        _front_sizes(acc) if rows is None else rows
+                    )
+                    created += sum(len(front) for front in table.values())
+                    stats.record_table(table)
+                self.merges += 1
+                continue
+            if rows is None:
+                rows = {
+                    f: list(zip(g.tolist(), p.tolist(), v.tolist(), strict=True))
+                    for f, (g, p, v) in acc.items()
+                }
+            # The child's options, (g, p, 0, mode) with mode -1 to pass:
+            # its load passed up, and the flow-0 pool of hosting it (plus
+            # passing an empty leaf), swept.
+            m = bisect_left(caps, child_load)
+            pool = [(0.0 + dg[m], 0.0 + mode_power[m], 0, m)]
+            opts: dict[int, list[tuple[float, float, int, int]]] = {}
+            if child_load:
+                opts[child_load] = [(0.0, 0.0, 0, -1)]
+            else:
+                pool.append((0.0, 0.0, 0, -1))
+            opts[0] = _list_sweep(pool) if len(pool) > 1 else pool
+            new: dict[int, _Rows] = {}
+            if acc_is_base:
+                # First effective merge: the pass option lands at flow +
+                # load verbatim, the swept pool on the base flow.
+                acc_is_base = False
+                created += len(pool)
+                if child_load and child_load + load <= w_max:
+                    new[child_load + load] = [(0.0, 0.0, 0)]
+                    created += 1
+                new[load] = [
+                    (g, p, 0) if mode < 0 else placed(g, p, 0, mode)
+                    for g, p, _, mode in opts[0]
+                ]
+                generated += sum(mode >= 0 for *_, mode in opts[0])
+            else:
+                # General merge, in the numpy path's order: output flows
+                # by first (accumulator flow, option) pair, single-pair
+                # flows before the swept ones.
+                out_pairs: dict[int, list[tuple[int, int]]] = {}
+                for f1 in rows:
+                    for f2 in opts:
+                        f = f1 + f2
+                        if f <= w_max:
+                            prs = out_pairs.get(f)
+                            if prs is None:
+                                out_pairs[f] = [(f1, f2)]
+                            else:
+                                prs.append((f1, f2))
+                swept: list[tuple[int, list[tuple[int, int]]]] = []
+                for f, prs in out_pairs.items():
+                    if len(prs) > 1:
+                        swept.append((f, prs))
+                        continue
+                    f1, f2 = prs[0]
+                    front = rows[f1]
+                    opt = opts[f2]
+                    la = len(front)
+                    created += la * len(opt)
+                    if la == 1:
+                        g0, p0, v0 = front[0]
+                        # repro-lint: ignore[float-eq] — audited sentinel.
+                        if p0 == alias_p:
+                            # Placement-free accumulator row: the options
+                            # as they are.
+                            n_places = len(places)
+                            new[f] = [
+                                (g, p, 0) if mode < 0 else placed(g, p, v0, mode)
+                                for g, p, _, mode in opt
+                            ]
+                            generated += len(places) - n_places
+                        else:
+                            generated += len(opt)
+                            new[f] = [
+                                (g0 + g, p0 + p, v0)
+                                if mode < 0
+                                else placed(g0 + g, p0 + p, v0, mode)
+                                for g, p, _, mode in opt
+                            ]
+                    elif len(opt) == 1:
+                        g1, p1, _, mode = opt[0]
+                        # repro-lint: ignore[float-eq] — audited sentinel.
+                        if p1 == alias_p and mode < 0:
+                            new[f] = front
+                        else:
+                            generated += la
+                            new[f] = [
+                                (g + g1, p + p1, v)
+                                if mode < 0
+                                else placed(g + g1, p + p1, v, mode)
+                                for g, p, v in front
+                            ]
+                    else:
+                        swept.append((f, prs))
+                for f, prs in swept:
+                    cands = [
+                        (g + og, p + op, v, mode)
+                        for f1, f2 in prs
+                        for g, p, v in rows[f1]
+                        for og, op, _, mode in opts[f2]
+                    ]
+                    if len(prs) > 1:
+                        created += len(cands)
+                    generated += len(cands)
+                    new[f] = [
+                        (g, p, v) if mode < 0 else placed(g, p, v, mode)
+                        for g, p, v, mode in _list_sweep(cands)
+                    ]
+                    rejected += len(cands) - len(new[f])
+            self.merges += 1
+            if stats is not None:
+                stats.record_table(new)
+            rows = new
+        self.labels_created += created
+        self.labels_generated += generated
+        self.merge_rejected += rejected
+        if rows is None:
+            return acc, acc_is_base
+        if places:
+            prov = self.prov
+            prov.kind.extend(array("b", [_K_PLACE]) * len(places))
+            prov.a.extend(array("q", [a for a, _, _ in places]))
+            prov.b.extend(array("q", [0]) * len(places))
+            prov.node.extend(array("q", [node for _, node, _ in places]))
+            prov.mode.extend(array("q", [mode for _, _, mode in places]))
+        # One set of columns for the whole accumulator, sliced per flow.
+        flat = [row for front in rows.values() for row in front]
+        g_col = np.array([row[0] for row in flat])
+        p_col = np.array([row[1] for row in flat])
+        v_col = np.array([row[2] for row in flat], dtype=np.int64)
+        out: dict[int, _Front] = {}
+        lo = 0
+        for f, front in rows.items():
+            hi = lo + len(front)
+            out[f] = (g_col[lo:hi], p_col[lo:hi], v_col[lo:hi])
+            lo = hi
+        return out, acc_is_base
 
 
 def power_frontier_array(
@@ -454,6 +748,10 @@ def power_frontier_array(
         prov = _ProvLog()
     children = tree.children
     loads = tree.client_loads.tolist()
+    run_fold = _RunFold(
+        loads, pre, reuse_dg, create_dg, caps, mode_power, alias_p, w_max,
+        prov, stats,
+    )
     # A node's computed table, or a (representative table, iso) pair for
     # a store/memo hit whose alias rows are deferred to the consuming fold.
     tables: list[dict[int, _Front] | tuple[Mapping[int, _Front], Any] | None]
@@ -530,7 +828,19 @@ def power_frontier_array(
                 )
                 acc_is_base = False
         published_acc = acc
-        for i in range(first, len(kids)):
+        # The leading run of childless children folds on plain lists; the
+        # general path below takes the remaining children.
+        run = _leading_run(children, kids)
+        if first < run:
+            if front_store is not None and run < len(kids):
+                # Chain the prefix key over the run but its last leaf; the
+                # loop's first step adds that one and publishes the run.
+                for c in kids[first : run - 1]:
+                    prefix_key = front_store.prefix_key(prefix_key, codes[c])
+            for c in kids[first:run]:
+                tables[c] = None
+            acc, acc_is_base = run_fold.fold(kids[first:run], acc, acc_is_base, load)
+        for i in range(max(first, run), len(kids)):
             if front_store is not None and i > first:
                 # Retain the accumulator over kids[:i] (skipped when the
                 # previous child was an identity merge: nothing changed).
@@ -958,11 +1268,14 @@ def power_frontier_array(
     # Root sweep: mirror the row kernel's expression tree — vectorised
     # ``(g + dg) + delete_constant`` sums, then Python's correctly-rounded
     # round per element (np.round can differ in the last ulp), then the
-    # shared pareto_min_sweep tie-break.
-    candidates: list[tuple[float, float, int, int]] = []
+    # shared pareto_min_sweep tie-break.  Candidates that another one
+    # certainly beats are dropped before the per-element rounding.
+    g_parts: list[NDArray[np.float64]] = []
+    p_parts: list[NDArray[np.float64]] = []
+    id_parts: list[NDArray[np.int64]] = []
+    mode_parts: list[NDArray[np.int64]] = []
     for f, front in root_table.items():
         front_g, front_p, front_prov = front
-        prov_ids = front_prov.tolist()
         if f == 0:
             variants = [(-1, 0.0, 0.0)]
             if root in pre:
@@ -974,20 +1287,28 @@ def power_frontier_array(
             variants = [(m, root_dg[m], mode_power[m])]
         for mode, dg, dp in variants:
             if mode < 0:
-                total_g = front_g + delete_constant
-                total_p = front_p
+                g_parts.append(front_g + delete_constant)
+                p_parts.append(front_p)
             else:
-                total_g = (front_g + dg) + delete_constant
-                total_p = front_p + dp
-            candidates += [
-                (round(g, 9), round(p, 9), pid, mode)
-                for g, p, pid in zip(
-                    total_g.tolist(), total_p.tolist(), prov_ids, strict=True
-                )
-            ]
-    if not candidates:
+                g_parts.append((front_g + dg) + delete_constant)
+                p_parts.append(front_p + dp)
+            id_parts.append(front_prov)
+            mode_parts.append(np.full(front_prov.shape[0], mode, dtype=int64))
+    if not g_parts:
         raise InfeasibleError("no valid replica placement exists")
-
+    all_g = np.concatenate(g_parts)
+    all_p = np.concatenate(p_parts)
+    live = np.flatnonzero(~_certainly_beaten(all_g, all_p))
+    candidates = [
+        (round(g, 9), round(p, 9), pid, mode)
+        for g, p, pid, mode in zip(
+            all_g[live].tolist(),
+            all_p[live].tolist(),
+            np.concatenate(id_parts)[live].tolist(),
+            np.concatenate(mode_parts)[live].tolist(),
+            strict=True,
+        )
+    ]
     candidates.sort(key=_GP)
     swept = pareto_min_sweep(candidates)
     points: list[FrontierPoint] = [
@@ -1006,10 +1327,10 @@ def power_frontier_array(
     if front_store is not None:
         front_store.end_solve()
     if stats is not None:
-        stats.merges += merges
-        stats.labels_created += labels_created
-        stats.labels_generated += labels_generated
-        stats.merge_rejected += merge_rejected_n
+        stats.merges += merges + run_fold.merges
+        stats.labels_created += labels_created + run_fold.labels_created
+        stats.labels_generated += labels_generated + run_fold.labels_generated
+        stats.merge_rejected += merge_rejected_n + run_fold.merge_rejected
         stats.memo_hits += memo_hits
         stats.memo_misses += memo_misses
         stats.memo_labels_shared += memo_shared

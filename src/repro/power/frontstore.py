@@ -35,10 +35,15 @@ Four design points make this sound and cheap:
   interns that as a prefix key, ``("prefix", prev_key, code(child))``
   chained from a per-load base, and publishes each accumulator as an
   ordinary :class:`StoreEntry` with :attr:`StoreEntry.prefix` set to
-  the number of children it covers.  A delta that changes one child
-  then resumes the fold from the longest retained prefix before it
+  the number of children it covers.  The array kernel folds a node's
+  leading run of childless children in one step, so it publishes no
+  prefix inside that run: one entry covers the whole run when internal
+  children follow it, and one more follows each later child that
+  changes the accumulator (never the last child, whose fold is the
+  node's own table).  A delta that changes one child then resumes the
+  fold from the longest retained prefix before it
   (:meth:`FrontStore.longest_prefix`) instead of re-merging every
-  sibling.  A prefix hit is aliased like a table hit, through a lazy
+  sibling; a changed leaf of the run re-folds the run.  A prefix hit is aliased like a table hit, through a lazy
   isomorphism that pairs the ordered prefix children position by
   position and then descends with :func:`cross_tree_iso` — never by
   node identity: a batch that swaps loads between two leaves keeps the

@@ -318,9 +318,63 @@ class Tree:
     # ------------------------------------------------------------------
     # derived instances
     # ------------------------------------------------------------------
-    def with_clients(self, clients: Iterable[Client | tuple[int, int]]) -> Tree:
-        """Return a tree with identical structure but a new workload."""
-        return Tree(self._parents, clients, validate=False)
+    def with_clients(
+        self,
+        clients: Iterable[Client | tuple[int, int]],
+        *,
+        touched: Iterable[int] | None = None,
+    ) -> Tree:
+        """Return a tree with identical structure but a new workload.
+
+        ``touched``, when given, must name every node whose attached
+        clients differ from this tree's (other nodes keep theirs, in the
+        same relative order).  The new tree then shares every structural
+        field with this one and updates only the client tuples, the
+        touched nodes' loads and the request totals on their root paths,
+        instead of rebuilding everything.
+        """
+        if touched is None:
+            return Tree(self._parents, clients, validate=False)
+        n = self.n_nodes
+        client_objs = [
+            c if isinstance(c, Client) else Client(int(c[0]), int(c[1]))
+            for c in clients
+        ]
+        touched_set = set(touched)
+        at: dict[int, list[Client]] = {v: [] for v in touched_set}
+        for c in client_objs:
+            if not (0 <= c.node < n):
+                raise WorkloadError(
+                    f"client references unknown internal node {c.node}"
+                )
+            if c.node in at:
+                at[c.node].append(c)
+        clients_at = list(self._clients_at)
+        load = self._client_load.copy()
+        sub_requests = self._subtree_requests.copy()
+        parents = self._parents
+        for v, cs in at.items():
+            clients_at[v] = tuple(cs)
+            change = sum(c.requests for c in cs) - int(load[v])
+            if change:
+                load[v] += change
+                u: int | None = v
+                while u is not None:
+                    sub_requests[u] += change
+                    u = parents[u]
+        tree = Tree.__new__(Tree)
+        tree._parents = parents
+        tree._children = self._children
+        tree._root = self._root
+        tree._clients = tuple(client_objs)
+        tree._clients_at = tuple(clients_at)
+        tree._client_load = load
+        tree._post_order = self._post_order
+        tree._post_index = self._post_index
+        tree._depth = self._depth
+        tree._subtree_internal = self._subtree_internal
+        tree._subtree_requests = sub_requests
+        return tree
 
     @property
     def parents(self) -> tuple[int | None, ...]:

@@ -126,3 +126,62 @@ def test_leaf_delta_reports_prefix_hits_apart_from_table_hits():
     assert after["hits"] - before["hits"] == result.fronts_reused
     assert after["misses"] - before["misses"] == result.fronts_invalidated
     state.close()
+
+
+def _run_length(tree: Tree, node: int) -> int:
+    kids = tree.children(node)
+    run = 0
+    while run < len(kids) and not tree.children(kids[run]):
+        run += 1
+    return run
+
+
+def test_delta_on_a_middle_leaf_of_a_leading_run_refolds_the_run():
+    # Root 0 folds the leading run of leaves [1, 2, 3], then hubs 4 and 5,
+    # whose children are all leaves.  Only the root keeps prefix entries:
+    # one for the run and one for the run plus hub 4.
+    tree = Tree(
+        [None, 0, 0, 0, 0, 0, 4, 4, 4, 5, 5],
+        [Client(0, 1), Client(1, 3), Client(2, 2), Client(3, 5),
+         Client(4, 1), Client(6, 4), Client(7, 2), Client(8, 3),
+         Client(9, 5), Client(10, 1)],
+    )
+    state = SessionState(tree, PM, CM, kernel="array")
+    state.frontier()
+    store = state.store
+
+    def prefix_entries():
+        out = [e for e in store._entries.values() if e.prefix]
+        for e in out:
+            # Nothing inside a run is retained, nor a node's full fold.
+            assert _run_length(e.tree, e.node) <= e.prefix
+            assert e.prefix < len(e.tree.children(e.node))
+        assert store.labels_retained == sum(
+            e.n_labels for e in store._entries.values()
+        )
+        return sorted(e.prefix for e in out)
+
+    assert prefix_entries() == [3, 4]
+    retained = store.labels_retained
+
+    # Leaf 2 sits in the middle of the run: no retained prefix covers it,
+    # so the root re-folds the run and re-merges both hubs (table hits).
+    before = store.snapshot()
+    result = state.apply([SetRequests(2, 6)])
+    after = store.snapshot()
+    assert result.frontier.pairs() == KERNELS["array"](state.tree, PM, CM).pairs()
+    assert _reprices(state, result.frontier, {})
+    assert after["prefix_hits"] == before["prefix_hits"]
+    assert result.fronts_reused == 2
+    assert prefix_entries() == [3, 3, 4, 4]
+    assert store.labels_retained > retained
+
+    # A leaf under hub 5 (the last child): the root resumes from its
+    # retained run-plus-hub-4 prefix, the one prefix hit of this solve.
+    before = store.snapshot()
+    result = state.apply([SetRequests(8, 2)])
+    after = store.snapshot()
+    assert result.frontier.pairs() == KERNELS["array"](state.tree, PM, CM).pairs()
+    assert _reprices(state, result.frontier, {})
+    assert after["prefix_hits"] == before["prefix_hits"] + 1
+    state.close()

@@ -502,3 +502,178 @@ class TestArrayKernelContract:
         assert resolve_kernel("array") == "array"  # argument wins
         with pytest.raises(ConfigurationError, match="unknown power kernel"):
             resolve_kernel("simd")
+
+
+#: Leaf loads for the fan trees: empty leaves and loads equal to a mode
+#: capacity (5 and 10 for PM; 3, 6 and 12 for PM3 — W_M caps at 10 here).
+_FAN_LOADS = st.sampled_from([0, 0, 1, 2, 3, 5, 6, 10])
+
+
+@st.composite
+def fan_trees(draw):
+    """Trees whose internal nodes carry wide fans of childless children.
+
+    Each hub folds a leading run of leaves, optionally an internal child
+    (a smaller fan of its own) and then trailing leaves, which take the
+    general merge path; some hubs have leaves only.
+    """
+    parents: list[int | None] = [None]
+    loads = [draw(st.integers(0, 4))]
+
+    def add(parent: int, load: int) -> int:
+        parents.append(parent)
+        loads.append(load)
+        return len(parents) - 1
+
+    def fan(hub: int, depth: int) -> None:
+        for _ in range(draw(st.integers(0, 8))):
+            add(hub, draw(_FAN_LOADS))
+        for _ in range(draw(st.integers(0, 2)) if depth < 2 else 0):
+            sub = add(hub, draw(st.integers(0, 4)))
+            fan(sub, depth + 1)
+            for _ in range(draw(st.integers(0, 2))):
+                add(hub, draw(_FAN_LOADS))
+
+    fan(0, 0)
+    clients = [Client(v, load) for v, load in enumerate(loads) if load]
+    return Tree(parents, clients)
+
+
+def _mirrored_stats(stats: ParetoDPStats) -> dict[str, int]:
+    return {
+        field: getattr(stats, field)
+        for field in (
+            "merges",
+            "labels_created",
+            "labels_kept",
+            "memo_hits",
+            "memo_misses",
+            "memo_labels_shared",
+            "max_front_size",
+            "max_flow_keys",
+        )
+    }
+
+
+def _assert_fold_equals_per_child_fold(tree, pm, cm, pre):
+    """Solve with and without leaf-run folds; everything must agree.
+
+    With no leading runs every child takes the general numpy merge: the
+    list fold must give the same pairs, the same witness for every point
+    (ties kept in the same build order) and the same counters, generated
+    and rejected candidates included.  Returns the folded frontier.
+    """
+    from unittest import mock
+
+    from repro.power import dp_power_array
+
+    def solve():
+        stats = ParetoDPStats()
+        try:
+            frontier = power_frontier_array(tree, pm, cm, pre, stats=stats)
+        except InfeasibleError:
+            return None, None
+        witnesses = [(pt.placement(), pt._root_mode) for pt in frontier.points]
+        return (frontier.pairs(), witnesses, stats.as_dict()), frontier
+
+    folded, frontier = solve()
+    with mock.patch.object(dp_power_array, "_leading_run", lambda *_: 0):
+        per_child, _ = solve()
+    assert folded == per_child
+    return frontier
+
+
+class TestLeafRunFold:
+    """The array kernel folds each node's leading childless children on
+    lists; pairs and counters must equal the tuple kernel's."""
+
+    PRICES = {
+        "default": CM,
+        # delete > 1: reused leaves carry a negative price and may host
+        # idle, so empty reused leaves leave the identity skip.
+        "dear-delete": ModalCostModel.uniform(2, create=0.1, delete=1.5),
+        "free-create": ModalCostModel.uniform(2, create=0.0, delete=0.01),
+    }
+
+    def _check(self, tree, pm, cm, pre):
+        st_t, st_a, st_p = ParetoDPStats(), ParetoDPStats(), ParetoDPStats()
+        try:
+            ft = power_frontier(tree, pm, cm, pre, stats=st_t)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                power_frontier_array(tree, pm, cm, pre)
+            return
+        fa = power_frontier_array(tree, pm, cm, pre, stats=st_a)
+        fp = power_frontier_array(tree, pm, cm, pre, stats=st_p, memoize=False)
+        assert fa.pairs() == ft.pairs() == fp.pairs()
+        assert _mirrored_stats(st_a) == _mirrored_stats(st_t)
+        assert_roundtrip(fa, tree, pm, cm, pre)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fan_trees(), st.sampled_from(sorted(PRICES)), st.data())
+    def test_fan_trees(self, tree, prices, data):
+        pre_nodes = data.draw(
+            st.lists(st.integers(0, tree.n_nodes - 1), max_size=6, unique=True)
+        )
+        pre = {v: data.draw(st.integers(0, 1)) for v in pre_nodes}
+        self._check(tree, PM, self.PRICES[prices], pre)
+
+    @settings(max_examples=25, deadline=None)
+    @given(fan_trees())
+    def test_fan_trees_three_modes(self, tree):
+        self._check(tree, PM3, CM3, {v: v % 3 for v in range(1, tree.n_nodes, 3)})
+
+    @settings(max_examples=25, deadline=None)
+    @given(fan_trees())
+    def test_fan_trees_underflowed_powers(self, tree):
+        # Zero mode powers switch the alias sentinel off: empty leaves
+        # then merge like any other child.
+        self._check(tree, TestZeroModePowerUnderflow.PM0, CM, {})
+
+    @settings(max_examples=150, deadline=None)
+    @given(fan_trees(), st.sampled_from(sorted(PRICES) + ["free-reuse"]), st.data())
+    def test_fold_equals_the_per_child_fold(self, tree, prices, data):
+        pre_nodes = data.draw(
+            st.lists(st.integers(0, tree.n_nodes - 1), max_size=6, unique=True)
+        )
+        pre = {v: data.draw(st.integers(0, 1)) for v in pre_nodes}
+        if prices == "free-reuse":
+            # Zero mode powers and a zero reuse price: an idle reused
+            # leaf ties exactly with passing it by.
+            pm = TestZeroModePowerUnderflow.PM0
+            cm = ModalCostModel.uniform(2, create=0.1, delete=1.0, changed=0.0)
+        else:
+            pm, cm = PM, self.PRICES[prices]
+        _assert_fold_equals_per_child_fold(tree, pm, cm, pre)
+
+    def test_tied_idle_reused_leaves_keep_the_per_child_witness(self):
+        # Two empty leaves reused at mode 0 under delete > 1: hosting
+        # either one alone gives the same (g, p), and the middle point's
+        # witness depends on the candidate build order of that bucket.
+        tree = Tree([None, 0, 0, 0], [Client(0, 2), Client(3, 4)])
+        frontier = _assert_fold_equals_per_child_fold(
+            tree, PM, self.PRICES["dear-delete"], {1: 0, 2: 0}
+        )
+        assert len(frontier.points) >= 3
+
+    def test_all_leaf_star_with_every_leaf_kind(self):
+        # Root whose children are all leaves: empty, empty reused, loads
+        # equal to both capacities, and ordinary loads.
+        loads = [2, 0, 0, 5, 10, 3, 0, 5, 1]
+        tree = Tree(
+            [None] + [0] * (len(loads) - 1),
+            [Client(v, x) for v, x in enumerate(loads) if x],
+        )
+        for cm in self.PRICES.values():
+            self._check(tree, PM, cm, {2: 0, 6: 1, 7: 1})
+
+    def test_leaves_after_an_internal_child(self):
+        # Root children: leaves 1-3 (the run), hub 4, then leaves 5-6,
+        # which fold on the general path.
+        tree = Tree(
+            [None, 0, 0, 0, 0, 0, 0, 4, 4],
+            [Client(1, 5), Client(2, 3), Client(4, 1), Client(5, 10),
+             Client(6, 2), Client(7, 4), Client(8, 5)],
+        )
+        for cm in self.PRICES.values():
+            self._check(tree, PM, cm, {3: 0, 5: 1, 8: 0})

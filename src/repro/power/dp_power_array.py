@@ -497,6 +497,8 @@ class _RunFold:
         places: list[tuple[int, int, int]] = []
 
         def placed(g: float, p: float, v: int, mode: int) -> tuple[float, float, int]:
+            # A kept row hosting the leaf ``c`` being folded on top of the
+            # accumulator row ``v``: one new provenance id.
             places.append((v, c, mode))
             return g, p, first_id + len(places) - 1
 

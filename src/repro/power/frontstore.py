@@ -43,12 +43,13 @@ Four design points make this sound and cheap:
   node's own table).  A delta that changes one child then resumes the
   fold from the longest retained prefix before it
   (:meth:`FrontStore.longest_prefix`) instead of re-merging every
-  sibling; a changed leaf of the run re-folds the run.  A prefix hit is aliased like a table hit, through a lazy
-  isomorphism that pairs the ordered prefix children position by
-  position and then descends with :func:`cross_tree_iso` — never by
-  node identity: a batch that swaps loads between two leaves keeps the
-  child's code but moves the nodes, so identity-keyed provenance would
-  reproduce the right ``(cost, power)`` pairs with wrong placements.
+  sibling; a changed leaf of the run re-folds the run.  A prefix hit is
+  aliased like a table hit, through a lazy isomorphism that pairs the
+  ordered prefix children position by position and then descends with
+  :func:`cross_tree_iso` — never by node identity: a batch that swaps
+  loads between two leaves keeps the child's code but moves the nodes,
+  so identity-keyed provenance would reproduce the right
+  ``(cost, power)`` pairs with wrong placements.
   Prefix lookups are counted in :attr:`FrontStore.prefix_hits`, apart
   from the table :attr:`~FrontStore.hits`/:attr:`~FrontStore.misses`.
 * **Budgeted retention.**  Entries idle for :attr:`FrontStore.max_idle`

@@ -340,8 +340,7 @@ class Tree:
             c if isinstance(c, Client) else Client(int(c[0]), int(c[1]))
             for c in clients
         ]
-        touched_set = set(touched)
-        at: dict[int, list[Client]] = {v: [] for v in touched_set}
+        at: dict[int, list[Client]] = {v: [] for v in touched}
         for c in client_objs:
             if not (0 <= c.node < n):
                 raise WorkloadError(

@@ -116,7 +116,7 @@ _NEAR = st.sampled_from(
         max_size=50,
     )
 )
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_root_prefilter_never_changes_the_rounded_sweep(rows):
     g = np.asarray([a + b for a, b, _, _ in rows], dtype=np.float64)
     p = np.asarray([c + d for _, _, c, d in rows], dtype=np.float64)

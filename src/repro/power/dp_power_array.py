@@ -839,8 +839,6 @@ def power_frontier_array(
                 # loop's first step adds that one and publishes the run.
                 for c in kids[first : run - 1]:
                     prefix_key = front_store.prefix_key(prefix_key, codes[c])
-            for c in kids[first:run]:
-                tables[c] = None
             acc, acc_is_base = run_fold.fold(kids[first:run], acc, acc_is_base, load)
         for i in range(max(first, run), len(kids)):
             if front_store is not None and i > first:

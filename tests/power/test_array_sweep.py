@@ -69,7 +69,7 @@ def test_long_buckets_with_near_eps_steps():
 
 
 @given(rows=st.lists(st.tuples(_VALUES, _VALUES), max_size=60))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_list_sweep_keeps_the_same_rows_in_order(rows):
     g = np.asarray([r[0] for r in rows], dtype=np.float64)
     p = np.asarray([r[1] for r in rows], dtype=np.float64)
@@ -116,7 +116,7 @@ _NEAR = st.sampled_from(
         max_size=50,
     )
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_root_prefilter_never_changes_the_rounded_sweep(rows):
     g = np.asarray([a + b for a, b, _, _ in rows], dtype=np.float64)
     p = np.asarray([c + d for _, _, c, d in rows], dtype=np.float64)

@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dynamics import AddClient, SessionState, SetRequests
+from repro.dynamics import AddClient, MigrateSubtree, SessionState, SetRequests
 from repro.power.frontstore import FrontStore
 from repro.power.kernels import KERNELS
 from repro.tree.generators import paper_tree, random_preexisting_modes
@@ -184,4 +184,25 @@ def test_delta_on_a_middle_leaf_of_a_leading_run_refolds_the_run():
     assert result.frontier.pairs() == KERNELS["array"](state.tree, PM, CM).pairs()
     assert _reprices(state, result.frontier, {})
     assert after["prefix_hits"] == before["prefix_hits"] + 1
+    state.close()
+
+
+def test_prefix_ending_inside_a_run_resumes_the_run_on_lists():
+    # Root 0 folds leaves [1, 2], hub 3 (leaves 5, 6) and leaf 4, so it
+    # keeps a prefix over [1, 2].  Moving hub 3 under node 7 makes
+    # [1, 2, 4] the root's leading run: the root resumes from the [1, 2]
+    # prefix and folds leaf 4 onto the aliased accumulator.
+    tree = Tree(
+        [None, 0, 0, 0, 0, 3, 3, 0],
+        [Client(1, 3), Client(2, 4), Client(4, 2), Client(5, 1),
+         Client(6, 5), Client(0, 1)],
+    )
+    state = SessionState(tree, PM, CM, kernel="array")
+    state.frontier()
+    before = state.store.prefix_hits
+    result = state.apply([MigrateSubtree(3, 7)])
+    assert state.tree.children(0) == (1, 2, 4, 7)
+    assert state.store.prefix_hits == before + 1
+    assert result.frontier.pairs() == KERNELS["array"](state.tree, PM, CM).pairs()
+    assert _reprices(state, result.frontier, {})
     state.close()

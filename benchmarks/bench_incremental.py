@@ -76,7 +76,7 @@ def _merges(tree, front_store=None) -> int:
 def _replay_merges(tree, batches) -> tuple[float, float]:
     """Mean kernel merges per delta (store-backed, as a session solves
     it) and per cold solve, over the replayed delta batches."""
-    store = FrontStore("array")
+    store = FrontStore()
     _merges(tree, store)
     per_delta: list[int] = []
     per_cold: list[int] = []
@@ -92,7 +92,7 @@ def _run_families() -> dict[str, dict]:
     out: dict[str, dict] = {}
     for name, cfg in FAMILIES.items():
         tree = paper_tree(cfg["n_nodes"], rng=cfg["seed"])
-        state = SessionState(tree, PM, CM, kernel="array")
+        state = SessionState(tree, PM, CM)
         t0 = time.perf_counter()
         state.frontier()
         first_cold = time.perf_counter() - t0

@@ -165,8 +165,7 @@ def _array_families() -> dict[str, dict]:
     ``hard=True`` families carry the ``REPRO_BENCH_MIN_ARRAY_SPEEDUP``
     gate.  Small instances are deliberately absent: below ~10^6 labels
     both kernels are bounded by the per-node skeleton and numpy call
-    overhead makes the array kernel *slower* — the knob exists so such
-    workloads can keep the tuple kernel.
+    overhead makes the array kernel *slower*.
     """
     six = (1, 2, 4, 7, 11, 16)
     f: dict[str, dict] = {}

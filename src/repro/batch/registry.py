@@ -64,7 +64,7 @@ from repro.power.greedy_power import (
     GreedyPowerCandidates,
     greedy_power_candidates,
 )
-from repro.power.kernels import DEFAULT_KERNEL, KERNELS, resolve_kernel
+from repro.power.kernels import KERNELS
 from repro.power.result import ModalPlacementResult, modal_from_replicas
 from repro.power.serialize import (
     modal_cost_model_from_dict,
@@ -412,34 +412,16 @@ class _FrontierPolicy(_PowerPolicy):
 
     Both subclasses cache the *full* frontier under one shared digest
     name, so a ``power_frontier`` batch warms the cache for later
-    ``min_power`` traffic and vice versa.  The Pareto-DP engine is
-    selected by the ``kernel`` knob (:mod:`repro.power.kernels`):
-    resolution happens here in the *parent* process so the
-    ``REPRO_POWER_KERNEL`` override is spawn-safe, and the resolved name
-    rides in the payload to the workers.  Kernels produce byte-identical
-    ``(cost, power)`` frontiers (witness placements may differ at
-    equal-optimum ties; both re-verify), so the digest deliberately
-    excludes the kernel — a cache record warmed by one kernel serves
-    requests for the other.
+    ``min_power`` traffic and vice versa.  Solves run the array kernel,
+    looked up in :data:`repro.power.kernels.KERNELS` at call time.
     """
 
     digest_name = "power_frontier"
 
-    #: Kernel override for this policy instance (``None`` = env/default).
-    kernel: str | None = None
-
-    def payload(
-        self, canonical: Canonical, instance: BatchInstance
-    ) -> dict[str, Any]:
-        data = super().payload(canonical, instance)
-        data["kernel"] = resolve_kernel(self.kernel)
-        return data
-
     def solve(self, payload: dict[str, Any]) -> dict[str, Any]:
         tree, pre_modes, pm, mcm = self._payload_instance(payload)
-        solver = KERNELS[payload.get("kernel", DEFAULT_KERNEL)]
         stats = ParetoDPStats()
-        frontier = solver(tree, pm, mcm, pre_modes, stats=stats)
+        frontier = KERNELS["array"](tree, pm, mcm, pre_modes, stats=stats)
         # Kernel counters ride along in the record (deterministic for a
         # canonical instance, so records stay byte-stable): the batch CLI
         # (--stats) and the serving tier's ``perf`` op aggregate them

@@ -34,7 +34,6 @@ import asyncio
 import contextlib
 import dataclasses
 import json
-import os
 import signal
 import sys
 from pathlib import Path
@@ -167,13 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--stats", action="store_true",
         help="print aggregated Pareto-DP kernel counters (labels created/"
-        "generated/rejected, memo hits, per-kernel solve counts) from the "
-        "solved records as JSON",
-    )
-    b.add_argument(
-        "--kernel", choices=("array", "tuple"), default=None,
-        help="Pareto-DP engine for the power policies (default: array; "
-        "tuple is the byte-identity oracle; REPRO_POWER_KERNEL also works)",
+        "generated/rejected, memo hits) from the solved records as JSON",
     )
     b.add_argument(
         "--solve-timeout", type=float, default=None, metavar="SECS",
@@ -210,11 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-pending", type=int, default=None, metavar="N",
         help="admission bound on pending canonical solves; excess load is "
         "shed with a retriable 'overloaded' error (default: unbounded)",
-    )
-    v.add_argument(
-        "--kernel", choices=("array", "tuple"), default=None,
-        help="Pareto-DP engine for the power policies (default: array; "
-        "tuple is the byte-identity oracle; REPRO_POWER_KERNEL also works)",
     )
     v.add_argument(
         "--solve-timeout", type=float, default=None, metavar="SECS",
@@ -266,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--lru-size", type=int, default=4096)
     u.add_argument("--disk-size", type=int, default=None, metavar="N")
     u.add_argument(
-        "--kernel", choices=("array", "tuple"), default=None,
-        help="Pareto-DP engine forwarded to every worker",
-    )
-    u.add_argument(
         "--solve-timeout", type=float, default=None, metavar="SECS",
         help="per-worker wall-clock deadline for one supervised solve "
         "wave (forwarded to every worker; default: no deadline)",
@@ -317,11 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         "power instance and stream STEPS random delta batches through it",
     )
     c.add_argument(
-        "--kernel", choices=("array", "tuple"), default=None,
-        help="Pareto-DP engine requested for --session (server default "
-        "otherwise)",
-    )
-    c.add_argument(
         "--cluster", action="store_true",
         help="the server is a cluster router: print the per-worker "
         "health/overload table from its perf op",
@@ -359,10 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument(
         "--deltas-per-step", type=int, default=1,
         help="churn deltas batched into each incremental step",
-    )
-    d.add_argument(
-        "--kernel", choices=("array", "tuple"), default=None,
-        help="Pareto-DP engine for --incremental (default: array)",
     )
     d.add_argument(
         "--verify", action="store_true",
@@ -539,7 +514,6 @@ async def _run_cluster(args: argparse.Namespace) -> int:
         lru_size=args.lru_size,
         max_disk_entries=args.disk_size,
         cache_dir=args.cache_dir,
-        kernel=args.kernel,
         solve_timeout=args.solve_timeout,
     )
     router = ClusterRouter(
@@ -677,11 +651,8 @@ async def _run_session_client(args: argparse.Namespace) -> int:
         deadline=args.deadline,
     )
     try:
-        sess = await client.session(instance, kernel=args.kernel)
-        print(
-            f"session {sess.session_id} kernel={sess.kernel} "
-            f"points={len(sess.result['points'])}"
-        )
+        sess = await client.session(instance)
+        print(f"session {sess.session_id} points={len(sess.result['points'])}")
         rows = []
         max_load = max(power_model.modes.capacities)
         for step in range(args.session):
@@ -805,11 +776,8 @@ def _dispatch_dynamics(args: argparse.Namespace) -> int:
             delete=args.delete,
             changed=args.changed,
         )
-        state = SessionState(tree, power_model, cost_model, kernel=args.kernel)
-        print(
-            f"cold solve: {len(state.frontier().pairs())} frontier points "
-            f"(kernel={state.kernel})"
-        )
+        state = SessionState(tree, power_model, cost_model)
+        print(f"cold solve: {len(state.frontier().pairs())} frontier points")
         rows = []
         verified = 0
         max_load = max(power_model.modes.capacities)
@@ -826,7 +794,7 @@ def _dispatch_dynamics(args: argparse.Namespace) -> int:
                     deltas.append(delta)
                 result = state.apply(deltas)
                 if args.verify:
-                    cold = KERNELS[state.kernel](
+                    cold = KERNELS["array"](
                         state.tree,
                         power_model,
                         cost_model,
@@ -979,11 +947,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "batch":
-        if args.kernel is not None:
-            # Frontier policies resolve the kernel in this (parent)
-            # process when building payloads, so the override reaches
-            # spawn-based workers without re-reading the environment.
-            os.environ["REPRO_POWER_KERNEL"] = args.kernel
         if args.demo is not None and args.file is not None:
             print(
                 "error: --demo and a batch file are mutually exclusive",
@@ -1086,8 +1049,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "serve":
-        if args.kernel is not None:
-            os.environ["REPRO_POWER_KERNEL"] = args.kernel
         try:
             return asyncio.run(_run_server(args))
         except OSError as exc:  # e.g. port already in use
@@ -1095,10 +1056,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 2
 
     if args.command == "cluster":
-        if args.kernel is not None:
-            # In-process workers read it from the environment; subprocess
-            # workers also get an explicit --kernel flag.
-            os.environ["REPRO_POWER_KERNEL"] = args.kernel
         try:
             return asyncio.run(_run_cluster(args))
         except OSError as exc:  # e.g. port already in use

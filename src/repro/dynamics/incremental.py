@@ -5,7 +5,7 @@ treats every workload change as a solve-from-scratch: each step pays a
 full O(tree) Pareto-DP pass even when one client moved.  A
 :class:`SessionState` instead keeps the tree *and* the solved per-subtree
 DP fronts alive between steps, keyed by labelled AHU subtree codes
-(:mod:`repro.batch.canonical`) in a kernel-bound
+(:mod:`repro.batch.canonical`) in a
 :class:`repro.power.FrontStore`.  Applying a delta then costs:
 
 1. an O(depth) incremental relabelling — only nodes on the root paths of
@@ -16,8 +16,9 @@ DP fronts alive between steps, keyed by labelled AHU subtree codes
    keys, so stale tables can never be served — the invalidation
    invariant), leaving only the root-path tables to recompute.
 
-Frontiers are byte-identical to cold solves for both kernels (pinned by
-``tests/dynamics/test_incremental.py``), because a store hit aliases the
+Frontiers are byte-identical to cold solves of the array kernel and of
+the row-tuple reference (pinned by ``tests/dynamics/test_incremental.py``),
+because a store hit aliases the
 representative's ``(g, p)`` rows verbatim and every dominance sweep is a
 function of the candidate multiset only.
 
@@ -56,7 +57,7 @@ from repro.exceptions import (
     WorkloadError,
 )
 from repro.power.frontstore import FrontStore
-from repro.power.kernels import KERNELS, resolve_kernel
+from repro.power.kernels import KERNELS
 from repro.tree.model import Client, Tree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -272,9 +273,9 @@ class ApplyResult:
 class SessionState:
     """A live placement session: tree + retained fronts + delta engine.
 
-    Parameters mirror the kernels; ``kernel`` resolves through
-    :func:`repro.power.resolve_kernel` (argument > ``REPRO_POWER_KERNEL``
-    > default) and the front store is bound to it.  The pre-existing set
+    Parameters mirror the kernel's; every solve runs the array kernel
+    through :data:`repro.power.KERNELS` against the session's front
+    store (a private one unless ``store`` is given).  The pre-existing set
     is fixed for the session's lifetime — re-anchoring the pre-set is a
     new session, not a delta (its markers participate in every subtree
     code, so changing them invalidates globally anyway).
@@ -287,17 +288,9 @@ class SessionState:
         cost_model: ModalCostModel,
         preexisting_modes: Mapping[int, int] | None = None,
         *,
-        kernel: str | None = None,
         store: FrontStore | None = None,
     ) -> None:
-        self._kernel = resolve_kernel(kernel)
-        self._solver = KERNELS[self._kernel]
-        if store is not None and store.kernel != self._kernel:
-            raise ConfigurationError(
-                f"front store is bound to the {store.kernel!r} kernel but "
-                f"the session resolved to {self._kernel!r}"
-            )
-        self._store = store if store is not None else FrontStore(self._kernel)
+        self._store = store if store is not None else FrontStore()
         self._tree = tree
         self._power_model = power_model
         self._cost_model = cost_model
@@ -307,10 +300,6 @@ class SessionState:
         self.stats = SessionStats()
 
     # -- accessors ------------------------------------------------------
-    @property
-    def kernel(self) -> str:
-        return self._kernel
-
     @property
     def store(self) -> FrontStore:
         return self._store
@@ -342,7 +331,7 @@ class SessionState:
 
     def _solve(self, tree: Tree) -> PowerFrontier:
         resets_before = self._store.resets
-        frontier = self._solver(
+        frontier = KERNELS["array"](
             tree,
             self._power_model,
             self._cost_model,

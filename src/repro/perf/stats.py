@@ -417,9 +417,7 @@ class ParetoDPStats:
     better label then beat at pop time.  ``memo_hits`` / ``memo_misses``
     count subtree-table lookups by labelled AHU code, and
     ``memo_labels_shared`` the labels answered from a shared table
-    instead of being recomputed.  ``kernel_solves`` labels the runs by
-    merge engine (``{"array": 3, "tuple": 1}``) so aggregated batch/serve
-    counters say which kernel produced them.
+    instead of being recomputed.
     """
 
     merges: int = 0
@@ -432,12 +430,6 @@ class ParetoDPStats:
     memo_labels_shared: int = 0  #: labels served from a memoized table
     max_front_size: int = 0  #: largest (g, p) front for a single flow value
     max_flow_keys: int = 0  #: most distinct flow values at one node
-    #: solves per merge engine, e.g. ``{"array": 3}`` (kernel knob label)
-    kernel_solves: dict[str, int] = field(default_factory=dict)
-
-    def record_kernel(self, name: str) -> None:
-        """Count one solve under the given kernel label."""
-        self.kernel_solves[name] = self.kernel_solves.get(name, 0) + 1
 
     def record_table(self, table: Mapping[int, Sized]) -> None:
         self.max_flow_keys = max(self.max_flow_keys, len(table))
@@ -486,7 +478,9 @@ class ParetoDPStats:
 
         Used by the batch CLI and the serving tier to aggregate the
         per-record kernel statistics solver policies attach to cache
-        records; unknown/derived keys are ignored, missing keys count 0.
+        records; unknown/derived keys (such as the per-engine solve
+        counts of records written by 1.9.0) are ignored, missing keys
+        count 0.
         """
         for name in self._SUM_FIELDS:
             setattr(self, name, getattr(self, name) + int(counters.get(name, 0)))
@@ -494,12 +488,6 @@ class ParetoDPStats:
             setattr(
                 self, name, max(getattr(self, name), int(counters.get(name, 0)))
             )
-        solves = counters.get("kernel_solves")
-        if isinstance(solves, Mapping):
-            for kernel, count in solves.items():
-                self.kernel_solves[str(kernel)] = self.kernel_solves.get(
-                    str(kernel), 0
-                ) + int(count)
         return self
 
     def as_dict(self) -> dict[str, object]:
@@ -517,7 +505,6 @@ class ParetoDPStats:
             "prune_ratio": self.prune_ratio,
             "generation_ratio": self.generation_ratio,
             "memo_hit_rate": self.memo_hit_rate,
-            "kernel_solves": dict(sorted(self.kernel_solves.items())),
         }
 
 

@@ -2,11 +2,11 @@
 
 * :mod:`~repro.power.modes` — mode sets and the Equation-3 power model;
 * :mod:`~repro.power.dp_power_pareto` — exact MinPower(-BoundedCost) solver
-  returning the full cost/power frontier (row-tuple oracle kernel);
+  returning the full cost/power frontier (row-tuple reference kernel);
 * :mod:`~repro.power.dp_power_array` — structure-of-arrays numpy rebuild
-  of the same kernel (production default; byte-identical frontiers);
-* :mod:`~repro.power.kernels` — the ``kernel=`` knob mapping names to
-  engines (``REPRO_POWER_KERNEL`` overrides the default);
+  of the same kernel (the production engine; byte-identical frontiers);
+* :mod:`~repro.power.kernels` — :data:`~repro.power.kernels.KERNELS`,
+  where production callers look the engine up;
 * :mod:`~repro.power.dp_power_counts` — paper-faithful count-vector DP
   (Theorem 3 state space; validation reference);
 * :mod:`~repro.power.greedy_power` — the GR capacity-sweep baseline of §5.2;
@@ -28,7 +28,7 @@ from repro.power.exhaustive_power import exhaustive_min_power, exhaustive_power_
 from repro.power.greedy_power import GreedyPowerCandidates, greedy_power_candidates
 from repro.power.heuristics import local_search_power, reuse_aware_greedy_power
 from repro.power.frontstore import FrontStore
-from repro.power.kernels import DEFAULT_KERNEL, KERNELS, resolve_kernel
+from repro.power.kernels import KERNELS
 from repro.power.modes import ModeSet, PowerModel
 from repro.power.npcomplete import (
     TwoPartitionReduction,
@@ -53,7 +53,6 @@ from repro.power.serialize import (
 )
 
 __all__ = [
-    "DEFAULT_KERNEL",
     "KERNELS",
     "FrontStore",
     "FrontierColumns",
@@ -83,7 +82,6 @@ __all__ = [
     "power_frontier_counts",
     "power_model_from_dict",
     "power_model_to_dict",
-    "resolve_kernel",
     "reuse_aware_greedy_power",
     "solve_two_partition_via_minpower",
     "two_partition_reference",

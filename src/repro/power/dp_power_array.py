@@ -665,16 +665,17 @@ def power_frontier_array(
     """Exact cost/power frontier — array-kernel drop-in for
     :func:`~repro.power.dp_power_pareto.power_frontier`.
 
-    Same signature, same exceptions, byte-identical frontier (pinned by
-    the equivalence suite); only the merge engine differs.  The returned
+    Same exceptions, byte-identical frontier (pinned by the equivalence
+    suite); only the merge engine differs.  The returned
     :class:`~repro.power.dp_power_pareto.PowerFrontier` shares the root
     sweep's output columns as its :class:`FrontierColumns` backing.
 
-    ``front_store`` (an ``"array"``-bound :class:`repro.power.FrontStore`)
-    switches table sharing from the solve-local memo to the store, which
-    also retains every table across solves (``memoize`` is then ignored).
-    The provenance log lives on the store in that mode, so aliases
-    published in one solve stay resolvable in later ones.
+    ``front_store`` (a :class:`repro.power.FrontStore`, which the
+    reference kernel does not take) switches table sharing from the
+    solve-local memo to the store, which also retains every table across
+    solves (``memoize`` is then ignored).  The provenance log lives on
+    the store in that mode, so aliases published in one solve stay
+    resolvable in later ones.
     """
     modes = power_model.modes
     n_modes = modes.n_modes
@@ -716,7 +717,7 @@ def power_frontier_array(
         # Store mode (live sessions): the session-owned store both answers
         # repeated subtrees within this solve and retains every computed
         # table for the next one, so the solve-local memo stays unused.
-        front_store.begin_solve("array")
+        front_store.begin_solve()
         sub = front_store.codes_for(tree, pre)
         codes, table_keys = sub.codes, sub.table_keys
     elif memoize:
@@ -742,7 +743,7 @@ def power_frontier_array(
     if front_store is not None:
         # Stored alias columns index the session-wide log, so the log
         # must outlive any one solve: it lives on the store (created here
-        # lazily so the store module stays kernel-agnostic).
+        # lazily so the store module need not import this one).
         prov = front_store.prov
         if prov is None:
             prov = front_store.prov = _ProvLog()
@@ -1334,7 +1335,6 @@ def power_frontier_array(
         stats.memo_hits += memo_hits
         stats.memo_misses += memo_misses
         stats.memo_labels_shared += memo_shared
-        stats.record_kernel("array")
     columns = FrontierColumns(
         np.asarray([pt.cost for pt in points]),
         np.asarray([pt.power for pt in points]),

@@ -108,7 +108,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.perf.stats import ParetoDPStats
-    from repro.power.frontstore import FrontStore
 
 from repro.core.costs import ModalCostModel
 from repro.exceptions import ConfigurationError, InfeasibleError, SolverError
@@ -567,7 +566,6 @@ def power_frontier(
     *,
     stats: ParetoDPStats | None = None,
     memoize: bool = True,
-    front_store: FrontStore | None = None,
 ) -> PowerFrontier:
     """Compute the exact cost/power frontier for an instance.
 
@@ -589,14 +587,6 @@ def power_frontier(
         Share tables between subtrees with equal labelled AHU codes (see
         the module docstring).  On by default; disable for ablation —
         the frontier is identical either way.
-    front_store:
-        Optional :class:`repro.power.FrontStore` bound to the ``"tuple"``
-        kernel.  When given, table sharing runs through the store instead
-        of the solve-local memo (``memoize`` is then ignored): every
-        internal-node table is looked up before computing and published
-        after, so repeated subtrees are answered across *solves* — the
-        live-session hot path of :mod:`repro.dynamics.incremental`.  The
-        frontier is byte-identical either way.
 
     Raises
     ------
@@ -648,14 +638,7 @@ def power_frontier(
     table_keys: Sequence[int] = ()
     memo: dict[int, tuple[int, dict]] = {}
     recurring: set[int] = set()
-    if front_store is not None:
-        # Store mode (live sessions): the session-owned store both answers
-        # repeated subtrees within this solve and retains every computed
-        # table for the next one, so the solve-local memo stays unused.
-        front_store.begin_solve("tuple")
-        sub = front_store.codes_for(tree, pre)
-        codes, table_keys = sub.codes, sub.table_keys
-    elif memoize:
+    if memoize:
         from collections import Counter
 
         from repro.batch.canonical import cached_subtree_codes
@@ -690,23 +673,11 @@ def power_frontier(
         j = stack.pop()
         if j >= 0:
             kids = children(j)
-            if kids and (front_store is not None or memoize):
-                rep_table: Mapping[int, list] | None = None
-                iso: object | None = None
-                if front_store is not None:
-                    entry = front_store.lookup(table_keys[j])
-                    if entry is not None:
-                        rep_table = entry.table
-                        # Lazy: the map is only materialised if a
-                        # placement is reconstructed through it, keeping
-                        # store hits O(fronts) rather than O(subtree).
-                        iso = front_store.make_iso(entry, tree, codes, j)
-                else:
-                    hit = memo.get(table_keys[j])
-                    if hit is not None:
-                        rep, rep_table = hit
-                        iso = _subtree_iso(tree, codes, rep, j)
-                if rep_table is not None:
+            if kids and memoize:
+                hit = memo.get(table_keys[j])
+                if hit is not None:
+                    rep, rep_table = hit
+                    iso = _subtree_iso(tree, codes, rep, j)
                     table: dict[int, list] = {
                         f: [
                             (row[0], row[1], ("s", row, iso)) for row in front
@@ -951,16 +922,7 @@ def power_frontier(
                 stats.record_table(merged)
             acc = merged
         tables[j] = acc
-        if front_store is not None:
-            front_store.publish(
-                table_keys[j],
-                tree,
-                codes,
-                j,
-                acc,
-                sum(len(b) for b in acc.values()),
-            )
-        elif memoize and table_keys[j] in recurring:
+        if memoize and table_keys[j] in recurring:
             memo[table_keys[j]] = (j, acc)
 
     root = tree.root
@@ -1021,8 +983,6 @@ def power_frontier(
         for cost, power, row, m in pareto_min_sweep(candidates)
     ]
 
-    if front_store is not None:
-        front_store.end_solve()
     if stats is not None:
         stats.merges += merges
         stats.labels_created += labels_created
@@ -1031,7 +991,6 @@ def power_frontier(
         stats.memo_hits += memo_hits
         stats.memo_misses += memo_misses
         stats.memo_labels_shared += memo_shared
-        stats.record_kernel("tuple")
     return PowerFrontier(tree, points, power_model, cost_model, pre, root)
 
 

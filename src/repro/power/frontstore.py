@@ -1,6 +1,6 @@
 """Cross-solve retention of per-subtree DP fronts (live sessions).
 
-Both Pareto-DP kernels already share computed ``(node, flow)`` tables
+The Pareto-DP kernels already share computed ``(node, flow)`` tables
 *within* one solve through the labelled-AHU memo
 (:func:`repro.batch.canonical.labelled_subtree_codes`): equal
 ``table_keys`` mean equal tables.  A :class:`FrontStore` extends that
@@ -59,13 +59,13 @@ Four design points make this sound and cheap:
   Eviction is *only* a memory policy: correctness never depends on what
   is retained, because lookups are content-keyed.
 
-The store is kernel-specific (``"tuple"`` rows vs ``"array"`` columnar
-fronts are not interchangeable) and the kernels refuse a store built
-for the other engine.  Served frontiers are byte-identical to cold
-solves: aliased fronts carry exactly the representative's ``(g, p)``
-values in canonical order, and every per-bucket dominance sweep is a
-function of the candidate *multiset* only (pinned by
-``tests/dynamics/test_incremental.py`` against both kernels).
+The store holds the array kernel's columnar fronts; the row-tuple
+reference kernel only solves cold.  Served frontiers are byte-identical
+to cold solves: aliased fronts carry exactly the representative's
+``(g, p)`` values in canonical order, and every per-bucket dominance
+sweep is a function of the candidate *multiset* only (pinned by
+``tests/dynamics/test_incremental.py`` against cold solves of both
+kernels).
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.batch.canonical import SubtreeCodes
 
 __all__ = ["FrontStore", "LazyIso", "StoreEntry", "cross_tree_iso"]
-
-#: Kernel names a store may be bound to (mirrors repro.power.kernels,
-#: imported lazily to avoid a module cycle).
-_KERNEL_NAMES = ("array", "tuple")
 
 
 def cross_tree_iso(
@@ -145,7 +141,7 @@ class LazyIso:
 
     Placement reconstruction subscripts isos one node at a time
     (``node = iso[node]``), so a ``__getitem__`` that materialises the
-    full map on first use slots into both kernels' existing walks.  A
+    full map on first use slots into the kernel's existing walk.  A
     hit whose placement is never reconstructed pays O(1).
     """
 
@@ -231,9 +227,6 @@ class FrontStore:
 
     Parameters
     ----------
-    kernel:
-        ``"array"`` or ``"tuple"`` — the engine whose table layout the
-        store holds; the kernels validate the binding.
     max_entries / max_labels:
         Retention budgets (table count / total labels across tables).
         Exceeding either at solve end triggers :meth:`reset`.
@@ -241,38 +234,33 @@ class FrontStore:
         Entries not hit or published for this many solves are evicted
         at solve end (generation LRU).
     max_log_entries:
-        Array-kernel provenance-log length budget; the shared log only
-        grows while the store lives, so blowing it also resets.
+        Provenance-log length budget; the shared log only grows while
+        the store lives, so blowing it also resets.
+
+    Every budget must be at least 1: a zero budget would reset the store
+    at the end of every solve, so every solve would silently run cold.
 
     Attributes of note: :attr:`epoch` increments on every reset so
     session layers can detect that retained state (including the shared
-    intern table) was dropped; :attr:`prov` is the array kernel's
-    persistent provenance log (``None`` until first array solve, and
-    owned here so aliases published in one solve stay resolvable in
-    later ones).
+    intern table) was dropped; :attr:`prov` is the kernel's persistent
+    provenance log (``None`` until the first solve, and owned here so
+    aliases published in one solve stay resolvable in later ones).
     """
 
     def __init__(
         self,
-        kernel: str,
         *,
         max_entries: int = 65536,
         max_labels: int = 5_000_000,
         max_idle: int = 64,
         max_log_entries: int = 4_000_000,
     ) -> None:
-        if kernel not in _KERNEL_NAMES:
-            raise ConfigurationError(
-                f"unknown front-store kernel {kernel!r}; expected one of "
-                f"{sorted(_KERNEL_NAMES)}"
-            )
-        if max_entries < 1 or max_labels < 1 or max_idle < 1:
+        if min(max_entries, max_labels, max_idle, max_log_entries) < 1:
             raise ConfigurationError(
                 "front-store budgets must be positive "
                 f"(max_entries={max_entries}, max_labels={max_labels}, "
-                f"max_idle={max_idle})"
+                f"max_idle={max_idle}, max_log_entries={max_log_entries})"
             )
-        self.kernel = kernel
         self.max_entries = max_entries
         self.max_labels = max_labels
         self.max_idle = max_idle
@@ -281,7 +269,7 @@ class FrontStore:
         self._entries: dict[int, StoreEntry] = {}
         self._labels_retained = 0
         self._gen = 0
-        #: Array-kernel provenance log, owned across solves (see class
+        #: Kernel provenance log, owned across solves (see class
         #: docstring); typed loosely to keep this module import-light.
         self.prov: Any = None
         # Codes of the store's *current* tree (the one solves run on).
@@ -402,16 +390,10 @@ class FrontStore:
         return sub
 
     # ------------------------------------------------------------------
-    # solve-scoped API (called by the kernels)
+    # solve-scoped API (called by the kernel)
     # ------------------------------------------------------------------
-    def begin_solve(self, kernel: str) -> None:
-        """Open one solve generation; validates the kernel binding."""
-        if kernel != self.kernel:
-            raise ConfigurationError(
-                f"front store is bound to the {self.kernel!r} kernel but the "
-                f"{kernel!r} kernel was invoked with it; table layouts are "
-                "not interchangeable"
-            )
+    def begin_solve(self) -> None:
+        """Open one solve generation."""
         self._gen += 1
 
     def lookup(self, key: int) -> StoreEntry | None:

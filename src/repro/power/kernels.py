@@ -1,60 +1,33 @@
-"""Pareto-DP kernel selection.
+"""The production Pareto-DP engine.
 
-Two interchangeable engines produce the exact cost/power frontier:
+:data:`KERNELS` maps the one engine every server, session, CLI command
+and worker runs, ``"array"`` —
+:func:`~repro.power.dp_power_array.power_frontier_array`, the
+structure-of-arrays numpy kernel.  Production callers look it up here at
+call time rather than importing the function, so a wrapper installed
+into the dict (the tracing harness under ``perfbench/`` does this, and
+its workloads import the dict) sees every solve.
 
-* ``"array"`` — :func:`~repro.power.dp_power_array.power_frontier_array`,
-  the structure-of-arrays numpy kernel (default);
-* ``"tuple"`` — :func:`~repro.power.dp_power_pareto.power_frontier`, the
-  row-tuple kernel retained as the byte-identity *oracle*.
+The row-tuple kernel :func:`~repro.power.dp_power_pareto.power_frontier`
+is not an engine choice: it is the cold-solve reference the array
+kernel is pinned against (``tests/power/test_kernel_equivalence.py``)
+and the solver of the offline experiments.
 
-Both return byte-identical frontiers (pinned by
-``tests/power/test_kernel_equivalence.py``); the knob exists so the
-oracle stays one environment variable away in production and so CI can
-matrix over both.  Resolution order: explicit ``kernel=`` argument, then
-the ``REPRO_POWER_KERNEL`` environment variable, then
-:data:`DEFAULT_KERNEL`.
-
-Both kernels also accept a ``front_store=`` keyword — a kernel-bound
-:class:`~repro.power.frontstore.FrontStore` (re-exported here) that
-retains per-subtree tables *across* solves; it is the engine interface
-the incremental re-solve sessions of :mod:`repro.dynamics.incremental`
-are built on.
+:class:`~repro.power.frontstore.FrontStore` (re-exported here) retains
+per-subtree tables *across* array-kernel solves; it is the engine
+interface the incremental re-solve sessions of
+:mod:`repro.dynamics.incremental` are built on.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 
-from repro.exceptions import ConfigurationError
 from repro.power.dp_power_array import power_frontier_array
-from repro.power.dp_power_pareto import power_frontier
 from repro.power.frontstore import FrontStore
 
-__all__ = ["DEFAULT_KERNEL", "KERNELS", "FrontStore", "resolve_kernel"]
+__all__ = ["KERNELS", "FrontStore"]
 
-#: Kernel name -> solver callable (both share power_frontier's signature).
-KERNELS: dict[str, Callable] = {
-    "array": power_frontier_array,
-    "tuple": power_frontier,
-}
-
-DEFAULT_KERNEL = "array"
-
-#: Environment override consulted when no explicit kernel is requested.
-_ENV_VAR = "REPRO_POWER_KERNEL"
-
-
-def resolve_kernel(name: str | None = None) -> str:
-    """Resolve a kernel name (argument > environment > default).
-
-    Raises :class:`ConfigurationError` for unknown names so a typo'd
-    override fails loudly instead of silently solving with the default.
-    """
-    resolved = name or os.environ.get(_ENV_VAR) or DEFAULT_KERNEL
-    if resolved not in KERNELS:
-        raise ConfigurationError(
-            f"unknown power kernel {resolved!r}; expected one of "
-            f"{sorted(KERNELS)}"
-        )
-    return resolved
+#: Engine name -> solver callable (``power_frontier``'s signature plus
+#: ``front_store=``).
+KERNELS: dict[str, Callable] = {"array": power_frontier_array}

@@ -140,7 +140,6 @@ class ServeSession:
     ) -> None:
         self._client = client
         self.session_id: str = response["session"]
-        self.kernel: str = response["kernel"]
         self.result: dict[str, Any] = response["result"]
         self.closed = False
 
@@ -316,25 +315,20 @@ class ServeClient:
         self,
         instance: BatchInstance,
         *,
-        kernel: str | None = None,
         records: bool = False,
     ) -> ServeSession:
         """Open a live incremental session on a power instance.
 
         The server cold-solves the instance, retains its per-subtree
         fronts, and answers subsequent :meth:`ServeSession.delta` calls
-        by re-solving incrementally.  ``kernel`` picks the Pareto kernel
-        (``"array"`` / ``"tuple"``; server default otherwise); with
-        ``records=True`` responses carry full placement records instead
-        of ``(cost, power)`` pairs.
+        by re-solving incrementally.  With ``records=True`` responses carry
+        full placement records instead of ``(cost, power)`` pairs.
         """
         message: dict[str, Any] = {
             "op": "session.open",
             "instance": instance_to_dict(instance),
             "records": records,
         }
-        if kernel is not None:
-            message["kernel"] = kernel
         return ServeSession(self, await self._request(message))
 
     async def stats(self) -> dict[str, Any]:

@@ -56,13 +56,11 @@ from repro.serve.protocol import (
     CODE_CLOSED,
     CODE_OVERLOADED,
     CODE_TIMEOUT,
-    MAX_LINE_BYTES,
     ProtocolError,
-    decode_line,
-    encode_line,
     error_response,
     parse_solve_request,
 )
+from repro.serve.server import JsonLinesEndpoint
 from repro.serve.spawner import (
     Spawner,
     WorkerConfig,
@@ -138,8 +136,11 @@ class _RouterContext:
         self.sessions: dict[str, tuple[str, str]] = {}
 
 
-class ClusterRouter:
+class ClusterRouter(JsonLinesEndpoint):
     """Front-end router over a fleet of spawned serve workers.
+
+    Its front socket is the :class:`~repro.serve.server.JsonLinesEndpoint`
+    that :class:`~repro.serve.server.BatchServer` also serves on.
 
     Parameters
     ----------
@@ -159,6 +160,9 @@ class ClusterRouter:
         Optional shared :class:`~repro.perf.stats.ClusterStats`.
     """
 
+    _context_type = _RouterContext
+    stats: ClusterStats
+
     def __init__(
         self,
         spawner: Spawner,
@@ -176,6 +180,7 @@ class ClusterRouter:
             raise ConfigurationError(
                 f"fallbacks must be >= 0, got {fallbacks}"
             )
+        super().__init__()
         self._spawner = spawner
         self._config = config if config is not None else WorkerConfig()
         self._names = [f"w{i}" for i in range(n_workers)]
@@ -185,13 +190,7 @@ class ClusterRouter:
         self._handles: dict[str, WorkerHandle] = {}
         self._down: set[str] = set()
         self._respawns: dict[str, asyncio.Task] = {}
-        self._tcp_server: asyncio.base_events.Server | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._request_tasks: set[asyncio.Task] = set()
-        self._stop_task: asyncio.Task | None = None
         self._started = False
-        self._closing = False
-        self._stopped = asyncio.Event()
 
     @property
     def worker_names(self) -> list[str]:
@@ -225,29 +224,12 @@ class ClusterRouter:
             self._handles = dict(zip(self._names, handles, strict=True))
         return self
 
-    async def listen(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> tuple[str, int]:
-        """Open the front TCP endpoint; returns the bound ``(host, port)``."""
-        await self.start()
-        self._tcp_server = await asyncio.start_server(
-            self._handle_conn, host, port, limit=MAX_LINE_BYTES
-        )
-        sock_host, sock_port = self._tcp_server.sockets[0].getsockname()[:2]
-        return sock_host, sock_port
-
-    async def serve_forever(self) -> None:
-        """Block until :meth:`stop` completes (e.g. via a shutdown op)."""
-        await self._stopped.wait()
-
     async def stop(self) -> None:
         """Graceful shutdown: close the front, stop workers, re-spawns."""
         if self._closing:
             await self._stopped.wait()
             return
-        self._closing = True
-        if self._tcp_server is not None:
-            self._tcp_server.close()
+        self._stop_listening()
         for task in self._respawns.values():
             task.cancel()
         if self._respawns:
@@ -255,22 +237,9 @@ class ClusterRouter:
                 *self._respawns.values(), return_exceptions=True
             )
         self._respawns.clear()
-        current = asyncio.current_task()
-        pending = [t for t in self._request_tasks if t is not current]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        for writer in list(self._writers):
-            writer.close()
-        if self._tcp_server is not None:
-            await self._tcp_server.wait_closed()
+        await self._close_connections()
         await self._spawner.close()
         self._stopped.set()
-
-    async def __aenter__(self) -> ClusterRouter:
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.stop()
 
     # ------------------------------------------------------------------
     # worker health
@@ -533,11 +502,7 @@ class ClusterRouter:
                     },
                 }
             if op == "shutdown":
-                if self._stop_task is None:
-                    self._stop_task = asyncio.get_running_loop().create_task(
-                        self.stop()
-                    )
-                return {"id": rid, "ok": True, "stopping": True}
+                return self._shutdown_response(rid)
             if op == "session.open":
                 response = await self._dispatch_session_open(message, ctx, rid)
             elif op in ("session.delta", "session.close"):
@@ -572,81 +537,3 @@ class ClusterRouter:
             with contextlib.suppress(Exception):
                 await handle.request({"op": "session.close", "session": sid})
         ctx.sessions.clear()
-
-    # ------------------------------------------------------------------
-    # front TCP endpoint (same framing as BatchServer)
-    # ------------------------------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats.connections += 1
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        conn_tasks: set[asyncio.Task] = set()
-        ctx = _RouterContext()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, ValueError) as exc:
-                    await self._write(
-                        writer,
-                        write_lock,
-                        {"id": None, "ok": False, "error": str(exc)},
-                    )
-                    break
-                if not line:
-                    break
-                try:
-                    message = decode_line(line)
-                except ProtocolError as exc:
-                    await self._write(
-                        writer,
-                        write_lock,
-                        {"id": None, "ok": False, "error": str(exc)},
-                    )
-                    continue
-                task = asyncio.create_task(
-                    self._respond(message, writer, write_lock, ctx)
-                )
-                conn_tasks.add(task)
-                self._request_tasks.add(task)
-                task.add_done_callback(conn_tasks.discard)
-                task.add_done_callback(self._request_tasks.discard)
-        finally:
-            for task in conn_tasks:
-                task.cancel()
-            self._writers.discard(writer)
-            writer.close()
-            await self.release_context(ctx)
-
-    async def _respond(
-        self,
-        message: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        ctx: _RouterContext,
-    ) -> None:
-        response = await self.dispatch(message, ctx)
-        await self._write(writer, write_lock, response)
-
-    @staticmethod
-    async def _write(
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        message: dict[str, Any],
-    ) -> None:
-        try:
-            data = encode_line(message)
-        except (TypeError, ValueError):
-            data = encode_line(
-                {
-                    "id": message.get("id"),
-                    "ok": False,
-                    "error": "internal error: response not JSON-serialisable",
-                }
-            )
-        with contextlib.suppress(ConnectionError, RuntimeError):
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()

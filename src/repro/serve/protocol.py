@@ -12,7 +12,7 @@ greppable.  Requests:
     {"op": "perf", "id": 9}
     {"op": "shutdown", "id": 10}
     {"op": "session.open", "id": 11, "instance": {...},
-     "kernel": "array", "records": false}
+     "records": false}
     {"op": "session.delta", "id": 12, "session": "s1",
      "deltas": [{"kind": "add_client", "node": 3, "requests": 2}]}
     {"op": "session.close", "id": 13, "session": "s1"}
@@ -36,7 +36,7 @@ entirely.  Responses echo ``id``:
     {"id": 8, "ok": true, "stats": {...}}
     {"id": 9, "ok": true, "perf": {"serve": {...}, "kernel": {...},
      "sessions": {...}}}
-    {"id": 11, "ok": true, "session": "s1", "kernel": "array",
+    {"id": 11, "ok": true, "session": "s1",
      "result": {"points": [[1.1, 250.0]]}}
     {"id": 12, "ok": true, "session": "s1",
      "result": {"points": [[2.1, 245.0]]},
@@ -203,20 +203,15 @@ def parse_solve_request(
     return instance_from_dict(raw), solver, priority
 
 
-def parse_session_open(
-    message: dict[str, Any]
-) -> tuple[BatchInstance, str | None, bool]:
-    """Extract ``(instance, kernel, records)`` from a session.open request."""
+def parse_session_open(message: dict[str, Any]) -> tuple[BatchInstance, bool]:
+    """Extract ``(instance, records)`` from a session.open request."""
     raw = message.get("instance")
     if not isinstance(raw, dict):
         raise ProtocolError("session.open request has no 'instance' object")
-    kernel = message.get("kernel")
-    if kernel is not None and not isinstance(kernel, str):
-        raise ProtocolError("session.open 'kernel' must be a string")
     records = message.get("records", False)
     if not isinstance(records, bool):
         raise ProtocolError("session.open 'records' must be a boolean")
-    return instance_from_dict(raw), kernel, records
+    return instance_from_dict(raw), records
 
 
 def _session_id(message: dict[str, Any], op: str) -> str:

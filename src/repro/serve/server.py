@@ -42,8 +42,9 @@ import asyncio
 import contextlib
 import functools
 import time
+from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.batch.cache import ResultCache
 from repro.batch.canonical import Canonical
@@ -77,7 +78,7 @@ from repro.serve.protocol import (
     parse_solve_request,
 )
 
-__all__ = ["BatchServer", "ConnectionContext"]
+__all__ = ["BatchServer", "ConnectionContext", "JsonLinesEndpoint"]
 
 #: Queue priority of the shutdown sentinel — drains strictly after every
 #: pending job, which is what makes :meth:`BatchServer.stop` graceful.
@@ -98,7 +99,7 @@ def _consume_exception(future: asyncio.Future) -> None:
         future.exception()
 
 
-def _open_session_state(instance: BatchInstance, kernel: str | None) -> SessionState:
+def _open_session_state(instance: BatchInstance) -> SessionState:
     """Build and cold-solve the engine state behind one serve session.
 
     Module-level (not a closure) so it hands off to ``run_in_executor``
@@ -115,7 +116,6 @@ def _open_session_state(instance: BatchInstance, kernel: str | None) -> SessionS
         instance.power_model,
         instance.effective_modal_cost(),
         instance.pre_modes(),
-        kernel=kernel,
     )
     state.solve()
     return state
@@ -171,6 +171,196 @@ class ConnectionContext:
         self.sessions: set[str] = set()
 
 
+_Endpoint = TypeVar("_Endpoint", bound="JsonLinesEndpoint")
+
+
+class JsonLinesEndpoint(ABC):
+    """The TCP JSON-lines endpoint of :class:`BatchServer` and the cluster
+    router (:class:`repro.serve.cluster.ClusterRouter`).
+
+    One request per line in, one response per line out (the framing of
+    :mod:`repro.serve.protocol`).  Every decoded line runs as its own
+    request task, so a connection may pipeline; responses are written as
+    they complete, under a per-connection lock, and echo their request
+    ids.  A line that does not decode gets an ``id: null`` error frame
+    and the connection keeps serving; a line longer than
+    :data:`~repro.serve.protocol.MAX_LINE_BYTES` gets one and the
+    connection closes.
+
+    A subclass supplies :meth:`start`, :meth:`stop`, :meth:`dispatch`,
+    its per-connection context type (:attr:`_context_type`, handed to
+    :meth:`dispatch` and then to :meth:`release_context` when the
+    connection ends) and a ``stats`` object counting ``connections``.
+    Its :meth:`stop` calls :meth:`_stop_listening` first and
+    :meth:`_close_connections` once its own work has drained.
+    """
+
+    _context_type: type[Any]
+    stats: Any
+
+    def __init__(self) -> None:
+        self._tcp_server: asyncio.base_events.Server | None = None
+        self._writers: set[asyncio.StreamWriter] = set()
+        self._request_tasks: set[asyncio.Task[None]] = set()
+        self._stop_task: asyncio.Task[None] | None = None
+        self._closing = False
+        self._stopped = asyncio.Event()
+
+    @abstractmethod
+    async def start(self: _Endpoint) -> _Endpoint:
+        """Bring up what requests need (idempotent); no socket yet."""
+
+    @abstractmethod
+    async def stop(self) -> None:
+        """Graceful shutdown; sets :attr:`_stopped` when done."""
+
+    @abstractmethod
+    async def dispatch(
+        self, message: dict[str, Any], ctx: Any = None
+    ) -> dict[str, Any]:
+        """Answer one decoded message; never raises but on cancellation."""
+
+    @abstractmethod
+    async def release_context(self, ctx: Any) -> None:
+        """Release what a departed connection owned."""
+
+    async def listen(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
+        """Open the TCP endpoint; returns the bound ``(host, port)``.
+
+        ``port=0`` binds an ephemeral port (the CLI prints the choice).
+        """
+        await self.start()
+        self._tcp_server = await asyncio.start_server(
+            self._handle_conn, host, port, limit=MAX_LINE_BYTES
+        )
+        sock_host, sock_port = self._tcp_server.sockets[0].getsockname()[:2]
+        return sock_host, sock_port
+
+    async def serve_forever(self) -> None:
+        """Block until :meth:`stop` completes (e.g. via a shutdown op)."""
+        await self._stopped.wait()
+
+    async def __aenter__(self: _Endpoint) -> _Endpoint:
+        return await self.start()
+
+    async def __aexit__(self, *exc_info: Any) -> None:
+        await self.stop()
+
+    def _stop_listening(self) -> None:
+        """First step of :meth:`stop`: refuse new work and connections."""
+        self._closing = True
+        if self._tcp_server is not None:
+            self._tcp_server.close()
+
+    async def _close_connections(self) -> None:
+        """Shared tail of :meth:`stop`: flush responses, close sockets."""
+        current = asyncio.current_task()
+        pending = [t for t in self._request_tasks if t is not current]
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+        for writer in list(self._writers):
+            writer.close()
+        if self._tcp_server is not None:
+            await self._tcp_server.wait_closed()
+
+    def _shutdown_response(self, rid: Any) -> dict[str, Any]:
+        """Answer a ``shutdown`` op: stop in the background, once."""
+        if self._stop_task is None:
+            self._stop_task = asyncio.get_running_loop().create_task(self.stop())
+        return {"id": rid, "ok": True, "stopping": True}
+
+    def _drop_response(self, response: dict[str, Any]) -> bool:
+        """Whether to tear the connection instead of answering."""
+        return False
+
+    async def _handle_conn(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self.stats.connections += 1
+        self._writers.add(writer)
+        write_lock = asyncio.Lock()
+        conn_tasks: set[asyncio.Task[None]] = set()
+        ctx = self._context_type()
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except (ConnectionError, ValueError) as exc:
+                    # ValueError: line exceeded the stream limit.
+                    await self._write(
+                        writer,
+                        write_lock,
+                        {"id": None, "ok": False, "error": str(exc)},
+                    )
+                    break
+                if not line:
+                    break
+                try:
+                    message = decode_line(line)
+                except ProtocolError as exc:
+                    await self._write(
+                        writer,
+                        write_lock,
+                        {"id": None, "ok": False, "error": str(exc)},
+                    )
+                    continue
+                task = asyncio.create_task(
+                    self._respond(message, writer, write_lock, ctx)
+                )
+                conn_tasks.add(task)
+                self._request_tasks.add(task)
+                task.add_done_callback(conn_tasks.discard)
+                task.add_done_callback(self._request_tasks.discard)
+        finally:
+            # Client gone: responses are unwritable, so cancel what this
+            # connection still has pending.  Work shared with other
+            # callers (a coalesced solve) is shielded and keeps running.
+            for task in conn_tasks:
+                task.cancel()
+            self._writers.discard(writer)
+            writer.close()
+            await self.release_context(ctx)
+
+    async def _respond(
+        self,
+        message: dict[str, Any],
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+        ctx: Any,
+    ) -> None:
+        """One request task: dispatch the message, write the response."""
+        response = await self.dispatch(message, ctx)
+        if self._drop_response(response):
+            writer.close()
+            return
+        await self._write(writer, write_lock, response)
+
+    @staticmethod
+    async def _write(
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+        message: dict[str, Any],
+    ) -> None:
+        try:
+            data = encode_line(message)
+        except (TypeError, ValueError):
+            # A third-party policy's result_to_wire may return something
+            # json cannot serialise; the client must still get a frame,
+            # not a silent hang.
+            data = encode_line(
+                {
+                    "id": message.get("id"),
+                    "ok": False,
+                    "error": "internal error: response not JSON-serialisable",
+                }
+            )
+        # Peer may disconnect mid-response; nothing to flush to then.
+        with contextlib.suppress(ConnectionError, RuntimeError):
+            async with write_lock:
+                writer.write(data)
+                await writer.drain()
+
+
 class _Job:
     """One scheduled canonical solve; waiters share :attr:`future`.
 
@@ -196,7 +386,7 @@ class _Job:
         self.future = future
 
 
-class BatchServer:
+class BatchServer(JsonLinesEndpoint):
     """Long-lived coalescing frontend over :func:`repro.batch.solve_batch`.
 
     Parameters
@@ -249,6 +439,9 @@ class BatchServer:
             ...
     """
 
+    _context_type = ConnectionContext
+    stats: ServeStats
+
     def __init__(
         self,
         *,
@@ -279,6 +472,7 @@ class BatchServer:
             raise ConfigurationError(
                 f"quarantine_ttl must be positive, got {quarantine_ttl}"
             )
+        super().__init__()
         self.cache = cache if cache is not None else ResultCache()
         self.stats = stats if stats is not None else ServeStats()
         self._workers = workers
@@ -293,12 +487,6 @@ class BatchServer:
         self._drain_task: asyncio.Task | None = None
         self._thread: ThreadPoolExecutor | None = None
         self._pool: SupervisedPool | None = None
-        self._tcp_server: asyncio.base_events.Server | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._request_tasks: set[asyncio.Task] = set()
-        self._stop_task: asyncio.Task | None = None
-        self._closing = False
-        self._stopped = asyncio.Event()
         # Kernel counters aggregated from solve records (the power
         # policies attach ``dp_stats``); keyed by solver, each canonical
         # digest absorbed once *per solver* — policies sharing a digest
@@ -335,42 +523,17 @@ class BatchServer:
             self._drain_task = asyncio.create_task(self._drain_loop())
         return self
 
-    async def listen(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Open the TCP endpoint; returns the bound ``(host, port)``.
-
-        ``port=0`` binds an ephemeral port (the CLI prints the choice).
-        """
-        await self.start()
-        self._tcp_server = await asyncio.start_server(
-            self._handle_conn, host, port, limit=MAX_LINE_BYTES
-        )
-        sock_host, sock_port = self._tcp_server.sockets[0].getsockname()[:2]
-        return sock_host, sock_port
-
-    async def serve_forever(self) -> None:
-        """Block until :meth:`stop` completes (e.g. via a shutdown op)."""
-        await self._stopped.wait()
-
     async def stop(self) -> None:
         """Graceful shutdown: refuse new work, drain, flush, close."""
         if not self._closing:
-            self._closing = True
-            if self._tcp_server is not None:
-                self._tcp_server.close()
+            self._stop_listening()
             if self._drain_task is not None:
                 self._seq += 1
                 self._queue.put_nowait((_SENTINEL_PRIORITY, self._seq, None))
         if self._drain_task is not None:
             await self._drain_task
         # Let outstanding request handlers fan out and write responses.
-        current = asyncio.current_task()
-        pending = [t for t in self._request_tasks if t is not current]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        for writer in list(self._writers):
-            writer.close()
-        if self._tcp_server is not None:
-            await self._tcp_server.wait_closed()
+        await self._close_connections()
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -383,12 +546,6 @@ class BatchServer:
             if sess is not None:
                 self._retire_session(sess)
         self._stopped.set()
-
-    async def __aenter__(self) -> BatchServer:
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.stop()
 
     # ------------------------------------------------------------------
     # in-process entry point
@@ -730,11 +887,7 @@ class BatchServer:
             if op == "perf":
                 return {"id": rid, "ok": True, "perf": self.perf_snapshot()}
             if op == "shutdown":
-                if self._stop_task is None:
-                    self._stop_task = asyncio.get_running_loop().create_task(
-                        self.stop()
-                    )
-                return {"id": rid, "ok": True, "stopping": True}
+                return self._shutdown_response(rid)
             if op == "session.open":
                 response = await self._session_open(message, ctx.sessions)
             elif op == "session.delta":
@@ -781,74 +934,12 @@ class BatchServer:
                     self._retire_session(sess)
         ctx.sessions.clear()
 
-    # ------------------------------------------------------------------
-    # TCP protocol
-    # ------------------------------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats.connections += 1
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        conn_tasks: set[asyncio.Task] = set()
-        ctx = ConnectionContext()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, ValueError) as exc:
-                    # ValueError: line exceeded the stream limit.
-                    await self._write(
-                        writer,
-                        write_lock,
-                        {"id": None, "ok": False, "error": str(exc)},
-                    )
-                    break
-                if not line:
-                    break
-                try:
-                    message = decode_line(line)
-                except ProtocolError as exc:
-                    await self._write(
-                        writer,
-                        write_lock,
-                        {"id": None, "ok": False, "error": str(exc)},
-                    )
-                    continue
-                task = asyncio.create_task(
-                    self._respond(message, writer, write_lock, ctx)
-                )
-                conn_tasks.add(task)
-                self._request_tasks.add(task)
-                task.add_done_callback(conn_tasks.discard)
-                task.add_done_callback(self._request_tasks.discard)
-        finally:
-            # Client gone: responses are unwritable, so cancel what this
-            # connection still has pending.  Shared in-flight solves are
-            # shielded and keep running for other waiters.
-            for task in conn_tasks:
-                task.cancel()
-            self._writers.discard(writer)
-            writer.close()
-            await self.release_context(ctx)
-
-    async def _respond(
-        self,
-        message: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        ctx: ConnectionContext,
-    ) -> None:
-        """One request task: dispatch the message, write the response."""
-        response = await self.dispatch(message, ctx)
+    def _drop_response(self, response: dict[str, Any]) -> bool:
+        # Chaos hook (``REPRO_FAULTS``): tear the connection instead of
+        # answering — the work is done (and cached); the client's retry
+        # policy reconnects and re-asks.
         plan = _faults.active_plan()
-        if plan is not None and plan.should_drop(response.get("digest")):
-            # Chaos hook: tear the connection instead of answering —
-            # the work is done (and cached); the client's retry policy
-            # reconnects and re-asks.
-            writer.close()
-            return
-        await self._write(writer, write_lock, response)
+        return plan is not None and plan.should_drop(response.get("digest"))
 
     # ------------------------------------------------------------------
     # session ops (incremental delta re-solve engine)
@@ -859,12 +950,12 @@ class BatchServer:
     ) -> dict[str, Any]:
         if self._closing:
             raise ServerClosedError("server is shutting down; request refused")
-        instance, kernel, records = parse_session_open(message)
+        instance, records = parse_session_open(message)
         loop = asyncio.get_running_loop()
         # Cold solve off the loop (sessions never touch the micro-batch
         # backend; the default executor is fine for per-session state).
         state = await loop.run_in_executor(
-            None, _open_session_state, instance, kernel
+            None, _open_session_state, instance
         )
         self._session_seq += 1
         sid = f"s{self._session_seq}"
@@ -875,12 +966,7 @@ class BatchServer:
         payload = await loop.run_in_executor(
             None, _frontier_payload, state, records
         )
-        return {
-            "ok": True,
-            "session": sid,
-            "kernel": state.kernel,
-            "result": payload,
-        }
+        return {"ok": True, "session": sid, "result": payload}
 
     async def _session_delta(self, message: dict[str, Any]) -> dict[str, Any]:
         sid, raw = parse_session_delta(message)
@@ -940,7 +1026,6 @@ class BatchServer:
     def _session_stats_payload(sess: _ServeSession) -> dict[str, Any]:
         """Per-session stats block of the ``perf`` op (and close response)."""
         payload: dict[str, Any] = dict(sess.stats.as_dict())
-        payload["kernel"] = sess.state.kernel
         payload["engine"] = sess.state.stats.as_dict()
         payload["store"] = sess.state.store.snapshot()
         return payload
@@ -952,28 +1037,3 @@ class BatchServer:
         self._sessions_closed += 1
         self._closed_session_stats.merge(sess.stats)
         return payload
-
-    @staticmethod
-    async def _write(
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        message: dict[str, Any],
-    ) -> None:
-        try:
-            data = encode_line(message)
-        except (TypeError, ValueError):
-            # A third-party policy's result_to_wire may return something
-            # json cannot serialise; the client must still get a frame,
-            # not a silent hang.
-            data = encode_line(
-                {
-                    "id": message.get("id"),
-                    "ok": False,
-                    "error": "internal error: response not JSON-serialisable",
-                }
-            )
-        # Peer may disconnect mid-response; nothing to flush to then.
-        with contextlib.suppress(ConnectionError, RuntimeError):
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()

@@ -84,8 +84,6 @@ class WorkerConfig:
     #: disjoint subdirectory ``<cache_dir>/<name>``.  ``None`` keeps
     #: worker caches purely in-memory.
     cache_dir: str | None = None
-    #: Pareto-kernel override forwarded to power policies.
-    kernel: str | None = None
     #: Wall-clock deadline (seconds) for one supervised solve wave;
     #: ``None`` disables supervision deadlines (crashes still recover).
     solve_timeout: float | None = None
@@ -303,7 +301,7 @@ class SubprocessSpawner(Spawner):
     Workers bind ephemeral loopback ports (``--port 0``); the spawner
     parses the announced address from the child's stdout, then connects
     a :class:`ServeClient`.  The child inherits the parent environment,
-    so ``PYTHONPATH`` / ``REPRO_POWER_KERNEL`` propagate.
+    so ``PYTHONPATH`` propagates.
     """
 
     def __init__(self, host: str = "127.0.0.1", start_timeout: float = 30.0) -> None:
@@ -337,8 +335,6 @@ class SubprocessSpawner(Spawner):
         cache_dir = config.worker_cache_dir(name)
         if cache_dir is not None:
             cmd += ["--cache-dir", str(cache_dir)]
-        if config.kernel is not None:
-            cmd += ["--kernel", config.kernel]
         if config.solve_timeout is not None:
             cmd += ["--solve-timeout", str(config.solve_timeout)]
         return cmd

@@ -4,7 +4,8 @@ The tentpole contract, each piece pinned here:
 
 * **byte-identity** — after arbitrary delta sequences, the incremental
   frontier's ``(cost, power)`` pairs equal a cold solve of the evolved
-  tree, for both kernels, and every witness placement survives the
+  tree by the array kernel and by the row-tuple reference kernel, and
+  every witness placement survives the
   ``from_records(verify=True)`` re-pricing path;
 * **delta semantics** — ``apply_deltas`` applies batches in order
   against the evolving state, computes the dirty-node seed set, and
@@ -44,6 +45,7 @@ from repro.exceptions import (
     WorkloadError,
 )
 from repro.power.frontstore import FrontStore
+from repro.power.dp_power_pareto import power_frontier
 from repro.power.kernels import KERNELS
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.generators import paper_tree
@@ -184,28 +186,31 @@ class TestApplyDeltas:
 
 
 class TestByteIdentity:
-    """The acceptance criterion: incremental == cold, both kernels."""
+    """The acceptance criterion: incremental == cold, against two kernels."""
 
     @given(case=incremental_cases())
     @settings(max_examples=40, deadline=None)
     def test_delta_resolve_matches_cold(self, case):
         tree, pre, seeds = case
-        for kernel in ("tuple", "array"):
-            state = SessionState(tree, PM, CM, pre, kernel=kernel)
-            cold0 = KERNELS[kernel](tree, PM, CM, pre)
-            assert state.frontier().pairs() == cold0.pairs()
-            for seed in seeds:
-                delta = _build_delta(state.tree, seed)
-                result = state.apply([delta])
-                cold = KERNELS[kernel](state.tree, PM, CM, pre)
-                assert result.frontier.pairs() == cold.pairs()
-            state.close()
+
+        def assert_cold(frontier, tree):
+            # The cold array solve, and the independent tuple reference.
+            pairs = frontier.pairs()
+            assert pairs == KERNELS["array"](tree, PM, CM, pre).pairs()
+            assert pairs == power_frontier(tree, PM, CM, pre).pairs()
+
+        state = SessionState(tree, PM, CM, pre)
+        assert_cold(state.frontier(), tree)
+        for seed in seeds:
+            delta = _build_delta(state.tree, seed)
+            assert_cold(state.apply([delta]).frontier, state.tree)
+        state.close()
 
     @given(case=incremental_cases(max_deltas=3))
     @settings(max_examples=15, deadline=None)
     def test_incremental_placements_reprice_exactly(self, case):
         tree, pre, seeds = case
-        state = SessionState(tree, PM, CM, pre, kernel="array")
+        state = SessionState(tree, PM, CM, pre)
         for seed in seeds:
             delta = _build_delta(state.tree, seed)
             frontier = state.apply([delta]).frontier
@@ -219,8 +224,8 @@ class TestByteIdentity:
     @settings(max_examples=20, deadline=None)
     def test_batched_deltas_equal_single_steps(self, case):
         tree, pre, seeds = case
-        batched = SessionState(tree, PM, CM, pre, kernel="array")
-        stepped = SessionState(tree, PM, CM, pre, kernel="array")
+        batched = SessionState(tree, PM, CM, pre)
+        stepped = SessionState(tree, PM, CM, pre)
         deltas = []
         preview = tree
         for seed in seeds:
@@ -239,7 +244,7 @@ class TestByteIdentity:
 class TestSessionState:
     def test_localized_delta_reuses_untouched_fronts(self):
         tree = paper_tree(120, rng=7)
-        state = SessionState(tree, PM, CM, kernel="array")
+        state = SessionState(tree, PM, CM)
         state.frontier()
         result = state.apply([AddClient(tree.n_nodes - 1, 1)])
         # A one-node edit must answer most subtrees from the store.
@@ -255,7 +260,7 @@ class TestSessionState:
             (paper_tree(60, rng=3), [AddClient(0, 11)], InfeasibleError),
         ]
         for tree, batch, error in cases:
-            state = SessionState(tree, PM, CM, kernel="array")
+            state = SessionState(tree, PM, CM)
             before = state.frontier().pairs()
             tree_before = state.tree
             with pytest.raises(error):
@@ -271,7 +276,7 @@ class TestSessionState:
             state.close()
 
     def test_close_releases_tables_and_disables_session(self, chain_tree):
-        state = SessionState(chain_tree, PM, CM, kernel="tuple")
+        state = SessionState(chain_tree, PM, CM)
         state.frontier()
         store = state.store
         assert len(store) > 0
@@ -284,14 +289,16 @@ class TestSessionState:
             state.solve()
         state.close()  # idempotent
 
-    def test_store_kernel_binding_enforced(self, chain_tree):
-        store = FrontStore("tuple")
-        with pytest.raises(ConfigurationError, match="bound to"):
-            SessionState(chain_tree, PM, CM, kernel="array", store=store)
 
-    def test_unknown_kernel_rejected(self, chain_tree):
-        with pytest.raises(ConfigurationError):
-            SessionState(chain_tree, PM, CM, kernel="quantum")
+@pytest.mark.parametrize(
+    "budget", ["max_entries", "max_labels", "max_idle", "max_log_entries"]
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_front_store_rejects_non_positive_budget(budget, value):
+    # A zero budget would reset the store after every solve, so every
+    # session solve would silently run cold.
+    with pytest.raises(ConfigurationError, match=f"{budget}={value}"):
+        FrontStore(**{budget: value})
 
 
 class TestCachedSubtreeCodes:

@@ -54,7 +54,7 @@ def test_prefix_reuse_matches_cold_and_reprices(tree_seed, with_pre, seeds):
     rng = np.random.default_rng(tree_seed)
     tree = paper_tree(120, rng=rng)
     pre = random_preexisting_modes(tree, 15, 2, rng=rng) if with_pre else {}
-    state = SessionState(tree, PM, CM, pre, kernel="array")
+    state = SessionState(tree, PM, CM, pre)
     state.frontier()
     for seed in seeds:
         frontier = state.apply([_build_delta(state.tree, seed)]).frontier
@@ -75,7 +75,7 @@ def test_swapped_leaf_loads_under_unchanged_child_remap_placements():
         [Client(0, 1), Client(1, 1), Client(2, 2), Client(3, 1),
          Client(4, 3), Client(5, 5)],
     )
-    state = SessionState(tree, PM, CM, kernel="array")
+    state = SessionState(tree, PM, CM)
     state.frontier()
     hits = state.store.prefix_hits
     frontier = state.apply(
@@ -89,9 +89,9 @@ def test_swapped_leaf_loads_under_unchanged_child_remap_placements():
 
 
 def test_prefix_entries_are_budgeted_and_evicted():
-    store = FrontStore("array", max_idle=2)
+    store = FrontStore(max_idle=2)
     tree = paper_tree(120, rng=7)
-    state = SessionState(tree, PM, CM, kernel="array", store=store)
+    state = SessionState(tree, PM, CM, store=store)
     state.frontier()
     entries = store._entries
     opened = {key for key, entry in entries.items() if entry.prefix}
@@ -116,7 +116,7 @@ def test_leaf_delta_reports_prefix_hits_apart_from_table_hits():
         and tree.parent(v) is not None
         and tree.children(tree.parent(v)).index(v) > 0
     )
-    state = SessionState(tree, PM, CM, kernel="array")
+    state = SessionState(tree, PM, CM)
     state.frontier()
     before = state.store.snapshot()
     result = state.apply([AddClient(leaf, 1)])
@@ -146,7 +146,7 @@ def test_delta_on_a_middle_leaf_of_a_leading_run_refolds_the_run():
          Client(4, 1), Client(6, 4), Client(7, 2), Client(8, 3),
          Client(9, 5), Client(10, 1)],
     )
-    state = SessionState(tree, PM, CM, kernel="array")
+    state = SessionState(tree, PM, CM)
     state.frontier()
     store = state.store
 
@@ -197,7 +197,7 @@ def test_prefix_ending_inside_a_run_resumes_the_run_on_lists():
         [Client(1, 3), Client(2, 4), Client(4, 2), Client(5, 1),
          Client(6, 5), Client(0, 1)],
     )
-    state = SessionState(tree, PM, CM, kernel="array")
+    state = SessionState(tree, PM, CM)
     state.frontier()
     before = state.store.prefix_hits
     result = state.apply([MigrateSubtree(3, 7)])

@@ -119,9 +119,7 @@ def _instance_record(tree: Tree, pre: dict[int, int], n_modes: int, prices: str)
 def _session_record(
     tree: Tree, pre: dict[int, int], n_modes: int, prices: str, deltas
 ) -> list[dict[str, Any]]:
-    state = SessionState(
-        tree, POWER[n_modes], _cost_model(n_modes, prices), pre, kernel="array"
-    )
+    state = SessionState(tree, POWER[n_modes], _cost_model(n_modes, prices), pre)
     state.frontier()
     steps = []
     for raw in deltas:

@@ -371,20 +371,6 @@ class TestStatsCoherence:
         assert total.merges == 2 * a.merges
         assert total.max_flow_keys == a.max_flow_keys
 
-    def test_kernel_solve_labels(self):
-        t = Tree([None, 0], [Client(1, 3)])
-        st_t, st_a = ParetoDPStats(), ParetoDPStats()
-        power_frontier(t, PM, CM, stats=st_t)
-        power_frontier_array(t, PM, CM, stats=st_a)
-        assert st_t.kernel_solves == {"tuple": 1}
-        assert st_a.kernel_solves == {"array": 1}
-        total = ParetoDPStats()
-        total.absorb(st_t.as_dict()).absorb(st_a.as_dict()).absorb(
-            st_a.as_dict()
-        )
-        assert total.kernel_solves == {"array": 2, "tuple": 1}
-        assert total.as_dict()["kernel_solves"] == {"array": 2, "tuple": 1}
-
     def test_cross_kernel_mirror(self):
         # The array kernel is a *re-expression* of the tuple kernel, not
         # an approximation: the dominance-structure counters (merges,
@@ -489,19 +475,6 @@ class TestArrayKernelContract:
         unknown = dict(data, columnar_schema=99)
         with pytest.raises(ConfigurationError, match="schema"):
             frontier_from_columnar(t, unknown, PM, CM, pre)
-
-    def test_resolve_kernel_precedence(self, monkeypatch):
-        from repro.exceptions import ConfigurationError
-        from repro.power.kernels import DEFAULT_KERNEL, resolve_kernel
-
-        monkeypatch.delenv("REPRO_POWER_KERNEL", raising=False)
-        assert resolve_kernel() == DEFAULT_KERNEL == "array"
-        assert resolve_kernel("tuple") == "tuple"
-        monkeypatch.setenv("REPRO_POWER_KERNEL", "tuple")
-        assert resolve_kernel() == "tuple"
-        assert resolve_kernel("array") == "array"  # argument wins
-        with pytest.raises(ConfigurationError, match="unknown power kernel"):
-            resolve_kernel("simd")
 
 
 #: Leaf loads for the fan trees: empty leaves and loads equal to a mode

@@ -456,57 +456,6 @@ class TestPerfOp:
         assert second["kernel"]["min_power"] == kernel
         assert second["serve"]["policies"]["min_power"]["requests"] == 7
 
-    def test_perf_reports_kernel_solve_labels(self):
-        """Per-kernel solve counts ride in the perf aggregate: each
-        canonical record names the engine that produced it."""
-        instance = _instance(seed=41, n_nodes=25, power=True)
-
-        async def run():
-            async with BatchServer(max_delay=0.01) as server:
-                host, port = await server.listen()
-                client = await ServeClient.connect(host, port)
-                try:
-                    await client.solve(instance, solver="min_power")
-                    return await client.perf()
-                finally:
-                    await client.close()
-
-        perf = asyncio.run(run())
-        kernel = perf["kernel"]["min_power"]
-        from repro.power.kernels import DEFAULT_KERNEL
-
-        assert kernel["kernel_solves"] == {DEFAULT_KERNEL: 1}
-
-    def test_kernels_report_consistent_solve_counts(self, monkeypatch):
-        """Regression: the tuple and array kernels report the same
-        number of canonical solves (and mirrored dominance counters) on
-        an identical workload — the knob changes the engine, never the
-        amount of work the batch tier schedules."""
-        instances = [
-            _instance(seed=s, n_nodes=22, power=True) for s in (51, 52, 53)
-        ] * 2  # duplicates fold; both kernels must agree on the folding
-
-        per_kernel = {}
-        for name in ("array", "tuple"):
-            monkeypatch.setenv("REPRO_POWER_KERNEL", name)
-            records: dict = {}
-            solve_batch(instances, solver="min_power", records_out=records)
-            from repro.perf.stats import ParetoDPStats
-
-            agg = ParetoDPStats()
-            for record in records.values():
-                agg.absorb(record["dp_stats"])
-            per_kernel[name] = agg
-
-        arr, tup = per_kernel["array"], per_kernel["tuple"]
-        assert arr.kernel_solves == {"array": 3}
-        assert tup.kernel_solves == {"tuple": 3}
-        assert sum(arr.kernel_solves.values()) == sum(
-            tup.kernel_solves.values()
-        )
-        for field in ("merges", "labels_created", "labels_kept"):
-            assert getattr(arr, field) == getattr(tup, field), field
-
     def test_perf_empty_without_power_traffic(self):
         instance = _instance(seed=29, n_nodes=20)
 

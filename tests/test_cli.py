@@ -194,30 +194,22 @@ class TestBatch:
             assert "unique_solved=3" in out
             assert "duplicates_folded=3" in out
 
-    def test_batch_stats_reports_per_kernel_counters(self, capsys, monkeypatch):
-        # --kernel writes the env override; seed it through monkeypatch
-        # so the mutation is rolled back after the test.
-        monkeypatch.setenv("REPRO_POWER_KERNEL", "array")
-        outputs = {}
-        for kernel in ("array", "tuple"):
-            assert (
-                main(
-                    [
-                        "batch", "--demo", "4", "--duplicate-rate", "0.5",
-                        "--nodes", "20", "--seed", "7",
-                        "--solver", "min_power", "--stats",
-                        "--kernel", kernel,
-                    ]
-                )
-                == 0
+    def test_batch_stats_reports_per_kernel_counters(self, capsys):
+        assert (
+            main(
+                [
+                    "batch", "--demo", "4", "--duplicate-rate", "0.5",
+                    "--nodes", "20", "--seed", "7",
+                    "--solver", "min_power", "--stats",
+                ]
             )
-            out = capsys.readouterr().out
-            stats = json.loads(out[out.index("{"):])
-            assert stats["kernel_solves"] == {kernel: stats["kernel_records"]}
-            outputs[kernel] = stats
-        # Same workload, different engine: identical dominance structure.
-        for field in ("merges", "labels_created", "labels_kept"):
-            assert outputs["array"][field] == outputs["tuple"][field]
+            == 0
+        )
+        out = capsys.readouterr().out
+        stats = json.loads(out[out.index("{"):])
+        assert stats["kernel_records"] > 0
+        assert stats["records_without_stats"] == 0
+        assert stats["labels_created"] >= stats["labels_kept"] > 0
 
     def test_batch_disk_size_flag(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

@@ -121,6 +121,15 @@ class TestParetoDPStats:
         for key, value in stats.as_dict().items():
             assert agg.as_dict()[key] == value
 
+    def test_absorb_ignores_legacy_engine_counts(self, rng):
+        # Cache records written by 1.9.0 also carry per-engine solve
+        # counts, which are no longer a counter.
+        tree = paper_tree(25, request_range=(1, 5), rng=rng)
+        _, stats = instrument_pareto_frontier(tree, PM, CM)
+        legacy = dict(stats.as_dict(), kernel_solves={"array": 1})
+        agg = ParetoDPStats().absorb(legacy)
+        assert agg.as_dict() == stats.as_dict()
+
 
 class TestIdleQuantilesAreNull:
     """Idle serving windows report ``null`` quantiles, never a fake 0.0

@@ -38,6 +38,12 @@ set actually consumes — capacity, cost model, power model, modal cost
 model — as declared by the policy (:mod:`repro.batch.registry`), so
 distinct questions about the same tree never collide while equivalent
 questions share one record.
+
+:func:`routing_key` is the digest's cheap shadow for the cluster router:
+a hash of relabelling-invariant per-node counts, read straight from the
+request dict, that is equal whenever the digest is.  The router places
+requests by it, so the owning worker's :func:`canonicalize` is the only
+one a request pays for.
 """
 
 from __future__ import annotations
@@ -49,7 +55,9 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.core.costs import UniformCostModel
 from repro.tree.model import Tree
@@ -67,6 +75,7 @@ __all__ = [
     "instance_digest",
     "labelled_subtree_codes",
     "relabel_tree",
+    "routing_key",
 ]
 
 #: Bumped to 2 when AHU codes switched from strings to interned integers
@@ -386,6 +395,82 @@ def instance_digest(
         payload["pre_modes"] = [list(p) for p in canonical.preexisting_modes]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def routing_key(
+    raw: Mapping[str, Any],
+    solver: str,
+    *,
+    preexisting: bool = False,
+    pre_modes: bool = False,
+) -> str:
+    """Cheap relabelling-invariant routing key of a raw instance dict.
+
+    Contract: two instances with equal :func:`instance_digest` under one
+    policy have equal routing keys, when ``solver`` is that policy's
+    digest name, ``preexisting`` says whether its digest covers the
+    pre-existing set and ``pre_modes`` whether it covers their old modes
+    (the ``include_pre_modes`` of the digest).  The converse does not
+    hold: the key only has to spread distinct instances over a hash
+    ring, so no :class:`Tree` is built and no AHU code computed.
+
+    The key hashes ``solver``, the sorted per-node rows ``(child count,
+    summed direct client load, pre marker)`` and the sorted multiset of
+    client request counts, all of which an isomorphism preserves.  The
+    pre marker is ``0`` for plain nodes and for every node when
+    ``preexisting`` is false, ``1`` for a pre-existing server, and
+    ``1 + old_mode`` when ``pre_modes`` is true (servers without an
+    explicit mode count as mode 0, as in
+    :meth:`~repro.batch.instance.BatchInstance.pre_modes`).
+
+    Values are coerced with ``int()`` like
+    :func:`~repro.batch.instance.instance_from_dict`, and node ids are
+    range-checked before any array is sized by them.  Raises
+    :class:`ValueError` for a dict that cannot be keyed; such a request
+    is malformed and its parser reports the real error.
+    """
+    try:
+        tree = raw["tree"]
+        parents = [-1 if p is None else int(p) for p in tree["parents"]]
+        nodes: list[int] = []
+        requests: list[int] = []
+        for v, r in tree["clients"]:
+            nodes.append(int(v))
+            requests.append(int(r))
+        pre: list[int] = []
+        marks: list[int] = []
+        if preexisting:
+            raw_modes = raw.get("preexisting_modes")
+            if raw_modes is not None:
+                for v, m in raw_modes:
+                    pre.append(int(v))
+                    marks.append(1 + int(m) if pre_modes else 1)
+            else:
+                pre = [int(v) for v in raw.get("preexisting", ())]
+                marks = [1] * len(pre)
+        n = len(parents)
+        par = np.array(parents, dtype=np.int64)
+        node = np.array(nodes, dtype=np.int64)
+        req = np.array(requests, dtype=np.int64)
+        pre_ids = np.array(pre, dtype=np.int64)
+        mark = np.array(marks, dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"instance cannot be keyed: {exc}") from exc
+    if n == 0 or par.min() < -1 or par.max() >= n:
+        raise ValueError("instance cannot be keyed: parent out of range")
+    for ids in (node, pre_ids):
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError("instance cannot be keyed: node out of range")
+    kids = np.bincount(par[par >= 0], minlength=n)
+    load = np.zeros(n, dtype=np.int64)
+    np.add.at(load, node, req)
+    marker = np.zeros(n, dtype=np.int64)
+    marker[pre_ids] = mark
+    order = np.lexsort((marker, load, kids))
+    digest = hashlib.sha256(f"{solver}|{n}|{req.size}|".encode())
+    for column in (kids[order], load[order], marker[order], np.sort(req)):
+        digest.update(column.astype("<i8").tobytes())
+    return digest.hexdigest()
 
 
 def relabel_tree(

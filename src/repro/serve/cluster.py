@@ -4,14 +4,21 @@
 .BatchServer` out to N workers without giving up the properties that make
 the single server correct:
 
-* **Partitioned digest ownership.**  Every solve request is keyed by its
-  policy's canonical digest (the same key the coalescing path uses); a
-  consistent-hash ring (:class:`HashRing`) maps each digest to one
-  *owner* worker.  All isomorphic duplicates of an instance therefore
-  land on the same worker and coalesce there, and each worker's result
-  cache holds a disjoint digest shard — no shared ``--cache-dir``, no
-  advisory-flock contention, and adding workers multiplies aggregate
-  cache capacity instead of duplicating it.
+* **Partitioned digest ownership.**  Every solve request is placed by
+  its *routing key* (:func:`repro.batch.canonical.routing_key`): a cheap
+  relabelling-invariant hash read straight from the request dict, equal
+  whenever the policy's canonical digest (the key the coalescing path
+  uses) is equal.  A consistent-hash ring (:class:`HashRing`) maps each
+  routing key to one *owner* worker, so a digest still has exactly one
+  owner: all isomorphic duplicates of an instance land on the same
+  worker and coalesce there, and each worker's result cache holds a
+  disjoint digest shard — no shared ``--cache-dir``, no advisory-flock
+  contention, and adding workers multiplies aggregate cache capacity
+  instead of duplicating it.  The router builds no tree and computes no
+  canonical form: the owner's canonicalisation is the only one a request
+  costs.  A request the key cannot be computed for (malformed, unknown
+  solver) goes to one fixed fallback key; that worker's parser answers
+  with the real error, which the router forwards verbatim.
 * **First-class backpressure.**  Workers run with a ``max_pending``
   admission bound and shed excess load with ``code: "overloaded"``
   responses (nothing enqueued server-side).  The router retries a shed
@@ -27,7 +34,8 @@ the single server correct:
   subsequent ``session.*`` calls answer with a ``session lost`` error
   (counted in ``lost_sessions``).
 * **Session stickiness.**  ``session.open`` is routed by the instance's
-  canonical digest and the session stays pinned to that worker; the
+  ``power_frontier`` routing key and the session stays pinned to that
+  worker; the
   router namespaces session ids as ``<worker>:<sid>`` so deltas and
   closes route back without a lookup table on the wire.
 
@@ -49,17 +57,11 @@ import contextlib
 import hashlib
 from typing import Any
 
-from repro.batch.registry import get_policy
-from repro.exceptions import ConfigurationError, ReproError
+from repro.batch.canonical import routing_key
+from repro.batch.registry import available_solvers, get_policy
+from repro.exceptions import ConfigurationError
 from repro.perf.stats import ClusterStats
-from repro.serve.protocol import (
-    CODE_CLOSED,
-    CODE_OVERLOADED,
-    CODE_TIMEOUT,
-    ProtocolError,
-    error_response,
-    parse_solve_request,
-)
+from repro.serve.protocol import CODE_CLOSED, CODE_OVERLOADED, CODE_TIMEOUT
 from repro.serve.server import JsonLinesEndpoint
 from repro.serve.spawner import (
     Spawner,
@@ -79,20 +81,23 @@ _RING_REPLICAS = 64
 _RESPAWN_ATTEMPTS = 3
 _RESPAWN_BACKOFF = 0.1
 
+#: Routing key of every request whose own key cannot be computed.
+_UNROUTABLE = "unroutable"
+
 
 def _ring_hash(value: str) -> int:
     return int.from_bytes(hashlib.sha256(value.encode()).digest()[:8], "big")
 
 
 class HashRing:
-    """Consistent-hash ring mapping digests to an ordered owner list.
+    """Consistent-hash ring mapping routing keys to an ordered owner list.
 
     Each worker name contributes :data:`_RING_REPLICAS` virtual points
     (``sha256(f"{name}#{i}")``).  :meth:`owners` walks the ring clockwise
-    from the digest's point and returns the first ``n`` *distinct*
+    from the key's point and returns the first ``n`` *distinct*
     workers — the primary owner followed by its fallbacks.  Membership is
     static after construction: dead workers keep their arc (so their
-    digests come straight back to them after a re-spawn, cache intact)
+    keys come straight back to them after a re-spawn, cache intact)
     and the router skips them at dispatch time instead.
     """
 
@@ -295,9 +300,9 @@ class ClusterRouter(JsonLinesEndpoint):
     # routing
     # ------------------------------------------------------------------
     async def _route(
-        self, message: dict[str, Any], digest: str, rid: Any
+        self, message: dict[str, Any], key: str, rid: Any
     ) -> tuple[str | None, dict[str, Any]]:
-        """Try the digest's owners in ring order; returns ``(worker, resp)``.
+        """Try the routing key's owners in ring order; returns ``(worker, resp)``.
 
         Sheds (``code: "overloaded"``) and deaths fall through to the
         next owner; a graceful-shutdown refusal (``code: "closed"``) is
@@ -314,7 +319,7 @@ class ClusterRouter(JsonLinesEndpoint):
         self.stats.requests_routed += 1
         last_shed: dict[str, Any] | None = None
         attempted = 0
-        for name in self._ring.owners(digest, self._attempts):
+        for name in self._ring.owners(key, self._attempts):
             handle = self._live_handle(name)
             if handle is None:
                 continue
@@ -351,26 +356,28 @@ class ClusterRouter(JsonLinesEndpoint):
         }
 
     def _solve_digest(self, message: dict[str, Any]) -> str:
-        """Routing key of a solve request (canonical digest, CPU-bound)."""
-        instance, solver, _ = parse_solve_request(message)
-        policy = get_policy(solver)
-        policy.check_instance(instance, 0)
-        _, digest = policy.instance_key(instance)
-        return digest
+        """Routing key of a solve request; never raises.
 
-    def _session_digest(self, message: dict[str, Any]) -> str:
-        """Routing key of a session.open (frontier digest when possible)."""
+        Cheap enough to run on the event loop: no tree, no canonical
+        form.  Equal policy digests give equal keys, so every digest has
+        one owner; a request that cannot be keyed gets
+        :data:`_UNROUTABLE` and its owner reports the parse error.
+        """
         raw = message.get("instance")
-        if not isinstance(raw, dict):
-            raise ProtocolError("session.open request has no 'instance' object")
+        solver = message.get("solver", "dp")
+        if not isinstance(raw, dict) or solver not in available_solvers():
+            return _UNROUTABLE
+        policy = get_policy(solver)
+        covers_pre = "preexisting" in policy.digest_fields
         try:
-            solve_message = {"op": "solve", "instance": raw,
-                            "solver": "power_frontier"}
-            return self._solve_digest(solve_message)
-        except ReproError:
-            # No power model (or no frontier policy): route determin-
-            # istically anyway; the worker produces the real error.
-            return "session-fallback"
+            return routing_key(
+                raw,
+                policy.digest_name or policy.name,
+                preexisting=covers_pre,
+                pre_modes=covers_pre and policy.needs_power,
+            )
+        except ValueError:
+            return _UNROUTABLE
 
     @staticmethod
     def _split_public_sid(public: str) -> tuple[str, str] | None:
@@ -382,11 +389,10 @@ class ClusterRouter(JsonLinesEndpoint):
     async def _dispatch_session_open(
         self, message: dict[str, Any], ctx: _RouterContext, rid: Any
     ) -> dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        digest = await loop.run_in_executor(
-            None, self._session_digest, message
+        key = self._solve_digest(
+            {"instance": message.get("instance"), "solver": "power_frontier"}
         )
-        name, response = await self._route(message, digest, rid)
+        name, response = await self._route(message, key, rid)
         if name is not None and response.get("ok"):
             public = f"{name}:{response['session']}"
             ctx.sessions[public] = (name, response["session"])
@@ -510,23 +516,13 @@ class ClusterRouter(JsonLinesEndpoint):
                     message, ctx, rid
                 )
             else:
-                digest = await asyncio.get_running_loop().run_in_executor(
-                    None, self._solve_digest, message
-                )
-                _, response = await self._route(message, digest, rid)
+                key = self._solve_digest(message)
+                _, response = await self._route(message, key, rid)
             response = dict(response)
             response["id"] = rid
             return response
-        except asyncio.CancelledError:
-            raise
-        except ReproError as exc:
-            return error_response(rid, exc)
         except Exception as exc:  # never let one request kill the router
-            return {
-                "id": rid,
-                "ok": False,
-                "error": f"internal error: {type(exc).__name__}: {exc}",
-            }
+            return self._failure_response(rid, exc)
 
     async def release_context(self, ctx: _RouterContext) -> None:
         """Reap a departed client's sessions on their owning workers."""

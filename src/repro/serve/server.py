@@ -192,7 +192,9 @@ class JsonLinesEndpoint(ABC):
     :meth:`dispatch` and then to :meth:`release_context` when the
     connection ends) and a ``stats`` object counting ``connections``.
     Its :meth:`stop` calls :meth:`_stop_listening` first and
-    :meth:`_close_connections` once its own work has drained.
+    :meth:`_close_connections` once its own work has drained, and its
+    :meth:`dispatch` answers any exception through
+    :meth:`_failure_response`.
     """
 
     _context_type: type[Any]
@@ -272,6 +274,22 @@ class JsonLinesEndpoint(ABC):
     def _drop_response(self, response: dict[str, Any]) -> bool:
         """Whether to tear the connection instead of answering."""
         return False
+
+    @staticmethod
+    def _failure_response(rid: Any, exc: Exception) -> dict[str, Any]:
+        """The answer to a request whose :meth:`dispatch` raised ``exc``.
+
+        A library error keeps its message and typed ``code``
+        (:func:`~repro.serve.protocol.error_response`); anything else is
+        an ``internal error``, so one request never kills the endpoint.
+        """
+        if isinstance(exc, ReproError):
+            return error_response(rid, exc)
+        return {
+            "id": rid,
+            "ok": False,
+            "error": f"internal error: {type(exc).__name__}: {exc}",
+        }
 
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -907,16 +925,8 @@ class BatchServer(JsonLinesEndpoint):
                 }
             response["id"] = rid
             return response
-        except asyncio.CancelledError:
-            raise
-        except ReproError as exc:
-            return error_response(rid, exc)
         except Exception as exc:  # never let one request kill the server
-            return {
-                "id": rid,
-                "ok": False,
-                "error": f"internal error: {type(exc).__name__}: {exc}",
-            }
+            return self._failure_response(rid, exc)
 
     async def release_context(self, ctx: ConnectionContext) -> None:
         """Reap the sessions owned by a departed caller.

@@ -58,15 +58,26 @@ def _power_instance(seed: int, n_nodes: int = 30) -> BatchInstance:
     return BatchInstance(tree, 10, pre, power_model=pm)
 
 
+def _solve_message(solver: str, instance: BatchInstance, rid: int = 0) -> dict:
+    return {
+        "op": "solve",
+        "id": rid,
+        "solver": solver,
+        "instance": instance_to_dict(instance),
+    }
+
+
 def _instance_for_owner(router: ClusterRouter, owner: str, solver: str = "dp"):
-    """A fresh instance whose *primary* ring owner is ``owner``."""
+    """A fresh instance whose *primary* ring owner is ``owner``; returns
+    it with its canonical digest."""
     policy = get_policy(solver)
     for seed in range(1000, 2000):
         rng = np.random.default_rng(seed)
         tree = paper_tree(25, rng=rng)
         instance = BatchInstance(tree, 10, random_preexisting(tree, 3, rng=rng))
-        _, digest = policy.instance_key(instance)
-        if router._ring.owners(digest, 1)[0] == owner:
+        key = router._solve_digest(_solve_message(solver, instance))
+        if router._ring.owners(key, 1)[0] == owner:
+            _, digest = policy.instance_key(instance)
             return instance, digest
     raise AssertionError(f"no instance found owned by {owner}")  # pragma: no cover
 
@@ -157,8 +168,9 @@ class TestClusterStorm:
         assert stats["workers"]["w1"]["deaths"] == 1
 
     def test_partitioned_digest_ownership(self):
-        """Each digest is cached by exactly its primary ring owner: the
-        partitioned-cache invariant behind the scale-out design."""
+        """Each digest is cached by exactly one worker, the primary ring
+        owner of the request's routing key: the partitioned-cache
+        invariant behind the scale-out design."""
         instances = random_batch(
             40, duplicate_rate=0.0, n_nodes=25, rng=np.random.default_rng(9)
         )
@@ -167,19 +179,13 @@ class TestClusterStorm:
             spawner = InProcessSpawner()
             router = ClusterRouter(spawner, 3, WorkerConfig(max_delay=0.001))
             async with router:
-                responses = [
-                    await router.dispatch(
-                        {
-                            "op": "solve",
-                            "id": i,
-                            "solver": "dp",
-                            "instance": instance_to_dict(inst),
-                        }
-                    )
+                messages = [
+                    _solve_message("dp", inst, i)
                     for i, inst in enumerate(instances)
                 ]
+                responses = [await router.dispatch(m) for m in messages]
                 placement = {}
-                for response in responses:
+                for message, response in zip(messages, responses):
                     assert response["ok"]
                     digest = response["digest"]
                     holders = [
@@ -187,12 +193,13 @@ class TestClusterStorm:
                         for name, worker in spawner._workers.items()
                         if worker.server.cache.get(digest) is not None
                     ]
-                    placement[digest] = holders
+                    placement[digest] = (holders, router._solve_digest(message))
                 return router, placement
 
         router, placement = asyncio.run(run())
-        for digest, holders in placement.items():
-            assert holders == router._ring.owners(digest, 1)
+        assert len(placement) == len(instances)
+        for holders, key in placement.values():
+            assert holders == router._ring.owners(key, 1)
 
     def test_inflight_death_fails_over_to_ring_fallback(self):
         """A request in flight on a worker that dies is retried against

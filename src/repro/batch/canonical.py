@@ -463,7 +463,7 @@ def routing_key(
             raise ValueError("instance cannot be keyed: node out of range")
     kids = np.bincount(par[par >= 0], minlength=n)
     load = np.zeros(n, dtype=np.int64)
-    np.add.at(load, node, req)
+    np.add.at(load, node, req)  # wraps mod 2**64: still order-independent
     marker = np.zeros(n, dtype=np.int64)
     marker[pre_ids] = mark
     order = np.lexsort((marker, load, kids))

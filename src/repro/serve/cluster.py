@@ -35,9 +35,8 @@ the single server correct:
   (counted in ``lost_sessions``).
 * **Session stickiness.**  ``session.open`` is routed by the instance's
   ``power_frontier`` routing key and the session stays pinned to that
-  worker; the
-  router namespaces session ids as ``<worker>:<sid>`` so deltas and
-  closes route back without a lookup table on the wire.
+  worker; the router namespaces session ids as ``<worker>:<sid>`` so
+  deltas and closes route back without a lookup table on the wire.
 
 The router speaks the exact protocol of :mod:`repro.serve.protocol` on
 its front socket — :class:`~repro.serve.client.ServeClient` works

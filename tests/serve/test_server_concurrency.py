@@ -179,6 +179,22 @@ class TestCoalescing:
         for got, want in zip(results, direct, strict=True):
             assert _wire("dp", got) == _wire("dp", want)
 
+    def test_served_solve_counts_one_cache_lookup(self):
+        """The micro-batch trusts the request path's cache miss: a solved
+        request is one lookup, not a second one in the drain."""
+        distinct = [_instance(seed=s, n_nodes=30) for s in (21, 22, 23)]
+
+        async def run():
+            async with BatchServer(max_delay=0) as server:
+                for instance in [*distinct, distinct[1]]:
+                    await server.submit(instance, solver="dp")
+                return server
+
+        stats = asyncio.run(run()).cache.stats
+        assert (stats.hits, stats.misses) == (1, 3)
+        assert stats.hit_rate == pytest.approx(0.25)
+        assert stats.unique_solved == 3
+
     def test_priorities_accepted(self):
         instance = _instance(seed=5, n_nodes=20)
 

@@ -185,3 +185,122 @@ class TestClusterStats:
             "deaths": 1, "respawns": 0,
         }
         assert payload["rejected"] == 0 and payload["lost_sessions"] == 0
+
+
+def _filled(cls):
+    """A collector with every counter non-default and a latency window."""
+    from dataclasses import fields
+
+    stats = cls()
+    for i, f in enumerate(fields(stats), start=2):
+        value = getattr(stats, f.name)
+        if isinstance(value, str):
+            setattr(stats, f.name, "flock")
+        elif isinstance(value, int):
+            setattr(stats, f.name, 3 * i + 1)
+    if hasattr(stats, "latencies"):
+        for seconds in (0.003, 0.001, 0.002):
+            stats.latencies.append(seconds)
+    return stats
+
+
+def _filled_serve():
+    from repro.perf.stats import PolicyServeStats, ServeStats
+
+    stats = _filled(ServeStats)
+    stats.policies = {"greedy": _filled(PolicyServeStats), "dp": _filled(PolicyServeStats)}
+    return stats
+
+
+def _filled_cluster():
+    from repro.perf.stats import ClusterStats, WorkerRouteStats
+
+    stats = _filled(ClusterStats)
+    stats.workers = {"w1": _filled(WorkerRouteStats), "w0": _filled(WorkerRouteStats)}
+    return stats
+
+
+_POLICY = (
+    '{"requests": 7, "cache_hits": 10, "coalesced_joins": 13, '
+    '"solves_scheduled": 16, "overloads": 19, "errors": 22, '
+    '"p50_latency": 0.002, "p99_latency": 0.003}'
+)
+_ROUTE = (
+    '{"routed": 7, "sheds": 10, "timeouts": 13, "errors": 16, '
+    '"deaths": 19, "respawns": 22}'
+)
+
+#: ``json.dumps(as_dict())`` of each filled collector: the wire and
+#: cache-record bytes, key order included.
+AS_DICT_BYTES = {
+    "BatchCacheStats": (
+        '{"hits": 7, "misses": 10, "disk_hits": 13, "evictions": 16, '
+        '"disk_evictions": 19, "stores": 22, "unique_solved": 25, '
+        '"duplicates_folded": 28, "schema_discards": 31, '
+        '"solve_timeouts": 34, "pool_rebuilds": 37, "quarantined": 40, '
+        '"quarantine_blocked": 43, "corrupt_lines": 46, '
+        '"hit_rate": 0.4117647058823529, "locking": "flock"}'
+    ),
+    "PolicyServeStats": _POLICY,
+    "SessionServeStats": (
+        '{"applies": 7, "deltas_applied": 10, "fronts_reused": 13, '
+        '"fronts_invalidated": 16, "errors": 19, '
+        '"p50_delta_latency": 0.002, "p99_delta_latency": 0.003}'
+    ),
+    "ServeStats": (
+        '{"connections": 7, "batches": 10, "batch_instances": 13, '
+        f'"policies": {{"dp": {_POLICY}, "greedy": {_POLICY}}}}}'
+    ),
+    "WorkerRouteStats": _ROUTE,
+    "ClusterStats": (
+        '{"connections": 7, "requests_routed": 10, "retries": 13, '
+        '"rejected": 16, "lost_sessions": 19, '
+        f'"workers": {{"w0": {_ROUTE}, "w1": {_ROUTE}}}}}'
+    ),
+    "CoreDPStats": (
+        '{"merges": 7, "total_cells": 10, "max_cells": 13, '
+        '"max_e_dim": 16, "max_n_dim": 19}'
+    ),
+    "ParetoDPStats": (
+        '{"merges": 7, "labels_created": 10, "labels_generated": 13, '
+        '"labels_kept": 16, "merge_rejected": 19, "memo_hits": 22, '
+        '"memo_misses": 25, "memo_labels_shared": 28, '
+        '"max_front_size": 31, "max_flow_keys": 34, '
+        '"prune_ratio": -0.6000000000000001, "generation_ratio": 1.3, '
+        '"memo_hit_rate": 0.46808510638297873}'
+    ),
+    "SessionStats": (
+        '{"solves": 7, "deltas_applied": 10, "fronts_reused": 13, '
+        '"fronts_invalidated": 16, "store_resets": 19}'
+    ),
+}
+
+
+class TestAsDictBytes:
+    """Every collector's ``as_dict`` is pinned byte for byte: these
+    dicts are wire payloads and cache-record fields."""
+
+    @pytest.mark.parametrize("name", sorted(AS_DICT_BYTES))
+    def test_filled_collector_bytes(self, name):
+        import json
+
+        from repro.dynamics import SessionStats
+        from repro.perf import stats as stats_module
+
+        builders = {"ServeStats": _filled_serve, "ClusterStats": _filled_cluster}
+        if name in builders:
+            stats = builders[name]()
+        elif name == "SessionStats":
+            stats = _filled(SessionStats)
+        else:
+            stats = _filled(getattr(stats_module, name))
+        assert json.dumps(stats.as_dict()) == AS_DICT_BYTES[name]
+
+    def test_absorb_sums_counters_and_maxes_peaks(self):
+        filled = _filled(ParetoDPStats).as_dict()
+        total = ParetoDPStats().absorb(filled).absorb(filled)
+        for name, value in total.as_dict().items():
+            if name.startswith("max_"):
+                assert value == filled[name], name
+            elif not name.endswith(("_ratio", "_rate")):
+                assert value == 2 * filled[name], name

@@ -57,7 +57,6 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
-    Executor,
     Future,
     ProcessPoolExecutor,
     wait,
@@ -99,8 +98,7 @@ def _solve_canonical(payload: dict[str, Any]) -> dict[str, Any]:
 # -- worker side -------------------------------------------------------
 
 # Set by the pool initializer inside SupervisedPool workers; None in the
-# parent process and in foreign (caller-supplied plain Executor) pools,
-# where journal marks are a no-op.
+# parent process and in sandbox probes, where journal marks are a no-op.
 _journal_path: str | None = None
 
 
@@ -432,13 +430,12 @@ def solve_batch(
     workers: int = 1,
     cache: ResultCache | None = None,
     stats: BatchCacheStats | None = None,
-    pool: Executor | SupervisedPool | None = None,
+    pool: SupervisedPool | None = None,
     records_out: dict[str, dict[str, Any]] | None = None,
     errors_out: dict[str, Exception] | None = None,
     solve_timeout: float | None = None,
     quarantine: QuarantineRegistry | None = None,
     keys: Sequence[tuple[Canonical, str]] | None = None,
-    fan_out: bool = True,
 ) -> list[Any]:
     """Solve many instances with canonical dedupe, caching and parallelism.
 
@@ -460,13 +457,10 @@ def solve_batch(
         Optional counter collector.  Defaults to ``cache.stats`` so cache
         lookups and dedupe folds land in one place.
     pool:
-        Optional long-lived pool to run miss chunks on instead of
-        spawning a fresh one per call — the serving tier passes one
-        shared :class:`SupervisedPool` so every micro-batch reuses warm
-        workers and one quarantine discipline.  A plain
-        :class:`~concurrent.futures.Executor` is still accepted for
-        caller-managed pools, but cannot carry ``solve_timeout``.
-        ``workers`` still controls the chunking.
+        Optional long-lived :class:`SupervisedPool` to run miss chunks on
+        instead of spawning a fresh one per call — the serving tier
+        passes one shared pool so every micro-batch reuses warm workers
+        and one quarantine discipline.
     records_out:
         Optional dict the executor fills with ``digest -> cache record``
         for every digest this call resolved (from cache or solved).
@@ -497,12 +491,12 @@ def solve_batch(
         pool; digests convicted of crashing/hanging this call are added.
     keys:
         Optional ``policy.instance_key`` of each instance, in input
-        order, for callers that already canonicalised them (the serving
-        tier keys its requests before they reach a micro-batch).
-    fan_out:
-        ``False`` skips the fan-out and returns each instance's canonical
-        cache record instead (``None`` where its digest failed), for
-        callers that fan records out per waiter themselves.
+        order, from a caller that has already looked every digest up in
+        ``cache`` and missed (the serving tier keys and looks up each
+        request before it reaches a micro-batch).  Such a call does no
+        cache lookup of its own and returns each instance's canonical
+        cache record (``None`` where its digest failed) instead of a
+        fanned-out result: the caller fans records out per waiter.
 
     Returns
     -------
@@ -516,7 +510,8 @@ def solve_batch(
         ``power_frontier`` returns a full
         :class:`~repro.power.dp_power_pareto.PowerFrontier`.  Every
         result carries the canonical digest in its ``extra`` mapping.
-        With ``errors_out``, failed instances yield ``None``.
+        With ``errors_out``, failed instances yield ``None``.  With
+        ``keys``, canonical cache records instead.
     """
     policy = get_policy(solver)
     if workers < 1:
@@ -525,20 +520,12 @@ def solve_batch(
         raise ConfigurationError(
             f"solve_timeout must be positive, got {solve_timeout}"
         )
-    if (
-        solve_timeout is not None
-        and pool is not None
-        and not isinstance(pool, SupervisedPool)
-    ):
-        raise ConfigurationError(
-            "solve_timeout requires a SupervisedPool (or no pool): a plain "
-            "Executor cannot be killed and rebuilt mid-batch"
-        )
     if stats is None:
         stats = cache.stats if cache is not None else BatchCacheStats()
     for index, instance in enumerate(instances):
         policy.check_instance(instance, index)
 
+    keyed = keys is not None
     if keys is None:
         keys = [policy.instance_key(i) for i in instances]
     elif len(keys) != len(instances):
@@ -556,34 +543,31 @@ def solve_batch(
 
     errors: dict[str, Exception] = errors_out if errors_out is not None else {}
 
-    # Cache lookups for unique digests; misses go to the solvers.  All
-    # counters are routed into the one effective ``stats`` collector.
-    # Quarantined digests fail fast here — before they can reach a pool.
+    # Cache lookups for unique digests (keyed callers already did them);
+    # misses go to the solvers.  All counters are routed into the one
+    # effective ``stats`` collector.  Quarantined digests fail fast
+    # here — before they can reach a pool.
     records: dict[str, dict[str, Any]] = {}
     misses: list[_Item] = []
     for digest, idxs in groups.items():
-        record = (
-            cache.get(digest, stats=stats, schema=policy.record_schema)
-            if cache is not None
-            else None
-        )
+        record = None
+        if cache is not None and not keyed:
+            record = cache.get(digest, stats=stats, schema=policy.record_schema)
+        elif not keyed:
+            stats.record_miss()
         if record is not None:
             records[digest] = record
-        else:
-            if cache is None:
-                stats.record_miss()
-            if quarantine is not None:
-                try:
-                    quarantine.check(digest, stats=stats)
-                except QuarantinedError as exc:
-                    if errors_out is None:
-                        raise
-                    errors[digest] = exc
-                    continue
-            rep = idxs[0]
-            misses.append(
-                (digest, policy.payload(canonicals[rep], instances[rep]))
-            )
+            continue
+        if quarantine is not None:
+            try:
+                quarantine.check(digest, stats=stats)
+            except QuarantinedError as exc:
+                if errors_out is None:
+                    raise
+                errors[digest] = exc
+                continue
+        rep = idxs[0]
+        misses.append((digest, policy.payload(canonicals[rep], instances[rep])))
 
     if misses:
 
@@ -595,14 +579,7 @@ def solve_batch(
             if records_out is not None:
                 records_out[digest] = record
 
-        def _absorb(chunk: list[_Item], outcomes: list[_Outcome]) -> None:
-            for (digest, _), (kind, value) in zip(chunk, outcomes, strict=True):
-                if kind == "ok":
-                    _take(digest, value)
-                else:
-                    errors[digest] = value
-
-        if isinstance(pool, SupervisedPool):
+        if pool is not None:
             _run_supervised(
                 pool,
                 misses,
@@ -612,15 +589,14 @@ def solve_batch(
                 take=_take,
                 errors=errors,
             )
-        elif pool is not None:
-            # Caller-managed plain Executor: chunked, journal-free.
-            chunks = _chunk(misses, workers)
-            for chunk, outcomes in zip(
-                chunks, pool.map(_solve_entry, chunks), strict=True
-            ):
-                _absorb(chunk, outcomes)
         elif solve_timeout is None and (workers == 1 or len(misses) == 1):
-            _absorb(misses, _solve_entry(misses))
+            for (digest, _), (kind, value) in zip(
+                misses, _solve_entry(misses), strict=True
+            ):
+                if kind == "ok":
+                    _take(digest, value)
+                else:
+                    errors[digest] = value
         else:
             own = SupervisedPool(min(workers, len(misses)))
             try:
@@ -643,7 +619,7 @@ def solve_batch(
 
     if records_out is not None:
         records_out.update(records)
-    if not fan_out:
+    if keyed:
         return [records.get(digest) for digest in digests]
 
     # Fan out: map canonical solutions through each instance's inverse

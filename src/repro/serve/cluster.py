@@ -160,8 +160,6 @@ class ClusterRouter(JsonLinesEndpoint):
         Extra ring owners tried after the primary sheds or dies.  The
         default ``1`` gives every digest a secondary; ``0`` disables
         failover entirely (a shed is final).
-    stats:
-        Optional shared :class:`~repro.perf.stats.ClusterStats`.
     """
 
     _context_type = _RouterContext
@@ -174,7 +172,6 @@ class ClusterRouter(JsonLinesEndpoint):
         config: WorkerConfig | None = None,
         *,
         fallbacks: int = 1,
-        stats: ClusterStats | None = None,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError(
@@ -189,7 +186,7 @@ class ClusterRouter(JsonLinesEndpoint):
         self._config = config if config is not None else WorkerConfig()
         self._names = [f"w{i}" for i in range(n_workers)]
         self._attempts = 1 + fallbacks
-        self.stats = stats if stats is not None else ClusterStats()
+        self.stats = ClusterStats()
         self._ring = HashRing(self._names)
         self._handles: dict[str, WorkerHandle] = {}
         self._down: set[str] = set()

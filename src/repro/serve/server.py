@@ -441,13 +441,10 @@ class BatchServer(JsonLinesEndpoint):
         (wire ``code: "timeout"``).  Setting it with ``workers=1``
         still spins up a single-worker supervised pool — a deadline is
         meaningless without one.  ``None`` (default) keeps solves
-        unbounded.
-    quarantine_ttl:
-        Seconds a digest convicted of crashing or hanging the pool
+        unbounded.  A digest convicted of crashing or hanging the pool
         fails fast with :class:`~repro.exceptions.QuarantinedError`
-        (wire ``code: "quarantined"``) before it may solve again.
-    stats:
-        Optional shared :class:`~repro.perf.stats.ServeStats` collector.
+        (wire ``code: "quarantined"``) for
+        :data:`repro.batch.quarantine.DEFAULT_TTL` seconds.
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`stop` explicitly::
@@ -469,8 +466,6 @@ class BatchServer(JsonLinesEndpoint):
         max_delay: float = 0.002,
         max_pending: int | None = None,
         solve_timeout: float | None = None,
-        quarantine_ttl: float = 300.0,
-        stats: ServeStats | None = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -486,19 +481,15 @@ class BatchServer(JsonLinesEndpoint):
             raise ConfigurationError(
                 f"solve_timeout must be positive, got {solve_timeout}"
             )
-        if quarantine_ttl <= 0:
-            raise ConfigurationError(
-                f"quarantine_ttl must be positive, got {quarantine_ttl}"
-            )
         super().__init__()
         self.cache = cache if cache is not None else ResultCache()
-        self.stats = stats if stats is not None else ServeStats()
+        self.stats = ServeStats()
         self._workers = workers
         self._max_batch = max_batch
         self._max_delay = max_delay
         self._max_pending = max_pending
         self._solve_timeout = solve_timeout
-        self._quarantine = QuarantineRegistry(ttl=quarantine_ttl)
+        self._quarantine = QuarantineRegistry()
         self._jobs: dict[str, _Job] = {}
         self._queue: asyncio.PriorityQueue = asyncio.PriorityQueue()
         self._seq = 0
@@ -615,47 +606,49 @@ class BatchServer(JsonLinesEndpoint):
                 raise ServerClosedError(
                     "server is shutting down; request refused"
                 )
-            record = self.cache.get(digest, schema=policy.record_schema)
-            if record is not None:
+            # A digest in flight is joined without a cache lookup (its
+            # record is not cached yet), so every cache miss schedules,
+            # sheds or is quarantine-blocked: one lookup per solve.
+            job = self._jobs.get(digest)
+            if job is not None:
+                served = "coalesced"
+                pstats.coalesced_joins += 1
+                record = await asyncio.shield(job.future)
+            elif (
+                record := self.cache.get(digest, schema=policy.record_schema)
+            ) is not None:
                 served = "cache"
                 pstats.cache_hits += 1
                 self._absorb_kernel_stats(solver, {digest: record})
             else:
-                # Poison digests fail fast *before* they can coalesce or
-                # schedule — one quarantined solve must never reach the
-                # pool again for the TTL.  Cache hits above still serve.
+                # Poison digests fail fast *before* they can schedule —
+                # one quarantined solve must never reach the pool again
+                # for the TTL.  Cache hits above still serve.
                 self._quarantine.check(digest, stats=self.cache.stats)
-                job = self._jobs.get(digest)
-                if job is not None:
-                    served = "coalesced"
-                    pstats.coalesced_joins += 1
-                else:
-                    if (
-                        self._max_pending is not None
-                        and len(self._jobs) >= self._max_pending
-                    ):
-                        # Shed *before* creating the job or its future:
-                        # nothing is enqueued and no coalesced waiter can
-                        # ever attach to a solve that will not run, so a
-                        # rejection racing stop() strands nobody.
-                        pstats.overloads += 1
-                        raise ServerOverloadedError(
-                            f"server at capacity: {len(self._jobs)} "
-                            f"pending canonical solves "
-                            f"(max_pending={self._max_pending}); "
-                            "request shed"
-                        )
-                    future: asyncio.Future = (
-                        asyncio.get_running_loop().create_future()
+                if (
+                    self._max_pending is not None
+                    and len(self._jobs) >= self._max_pending
+                ):
+                    # Shed *before* creating the job or its future:
+                    # nothing is enqueued and no coalesced waiter can
+                    # ever attach to a solve that will not run, so a
+                    # rejection racing stop() strands nobody.
+                    pstats.overloads += 1
+                    raise ServerOverloadedError(
+                        f"server at capacity: {len(self._jobs)} "
+                        f"pending canonical solves "
+                        f"(max_pending={self._max_pending}); "
+                        "request shed"
                     )
-                    future.add_done_callback(_consume_exception)
-                    job = _Job(digest, canonical, solver, instance, future)
-                    self._jobs[digest] = job
-                    served = "solve"
-                    pstats.solves_scheduled += 1
-                    self._seq += 1
-                    self._queue.put_nowait((priority, self._seq, job))
-                record = await asyncio.shield(job.future)
+                future: asyncio.Future = asyncio.get_running_loop().create_future()
+                future.add_done_callback(_consume_exception)
+                job = _Job(digest, canonical, solver, instance, future)
+                self._jobs[digest] = job
+                served = "solve"
+                pstats.solves_scheduled += 1
+                self._seq += 1
+                self._queue.put_nowait((priority, self._seq, job))
+                record = await asyncio.shield(future)
             # Fan-out re-verifies on the original tree (CPU-bound, one
             # call per waiter) — run it off the loop so a storm of
             # coalesced waiters doesn't serially block all connections.
@@ -831,14 +824,13 @@ class BatchServer(JsonLinesEndpoint):
     ) -> None:
         """One blocking ``solve_batch`` call (runs on the drain thread).
 
-        Resolves records only: the jobs' keys come from the request path,
-        and every waiter fans the record out itself.
+        Resolves records only: the request path keyed the jobs and
+        missed the cache, and every waiter fans the record out itself.
         """
         solve_batch(
             [job.instance for job in jobs],
             solver=solver,
             keys=[(job.canonical, job.digest) for job in jobs],
-            fan_out=False,
             workers=self._workers,
             cache=self.cache,
             pool=self._pool,

@@ -117,9 +117,7 @@ class TestDedupeAndCache:
 
             monkeypatch.setattr(policy, name, counted)
         records: dict = {}
-        got = solve_batch(
-            batch, solver="dp", keys=keys, fan_out=False, records_out=records
-        )
+        got = solve_batch(batch, solver="dp", keys=keys, records_out=records)
         assert calls == {"instance_key": 0, "fan_out": 0}
         assert got == [records[digest] for _, digest in keys]
         assert len(records) == 2

@@ -283,16 +283,6 @@ class TestSupervisedExecutor:
         with pytest.raises(InjectedFaultError):
             solve_batch(instances, solver="dp")
 
-    def test_solve_timeout_rejects_plain_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        instances, _ = _batch_with_digests(1, start_seed=600)
-        with ThreadPoolExecutor(1) as pool:
-            with pytest.raises(ConfigurationError):
-                solve_batch(
-                    instances, solver="dp", pool=pool, solve_timeout=1.0
-                )
-
     def test_solve_timeout_must_be_positive(self):
         instances, _ = _batch_with_digests(1, start_seed=700)
         with pytest.raises(ConfigurationError):

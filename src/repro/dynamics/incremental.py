@@ -56,6 +56,7 @@ from repro.exceptions import (
     TreeStructureError,
     WorkloadError,
 )
+from repro.perf.stats import Collector
 from repro.power.frontstore import FrontStore
 from repro.power.kernels import KERNELS
 from repro.tree.model import Client, Tree
@@ -241,7 +242,7 @@ def apply_deltas(
 
 
 @dataclass
-class SessionStats:
+class SessionStats(Collector):
     """Cumulative per-session counters (no latency — see the serve layer)."""
 
     solves: int = 0
@@ -249,15 +250,6 @@ class SessionStats:
     fronts_reused: int = 0
     fronts_invalidated: int = 0
     store_resets: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "solves": self.solves,
-            "deltas_applied": self.deltas_applied,
-            "fronts_reused": self.fronts_reused,
-            "fronts_invalidated": self.fronts_invalidated,
-            "store_resets": self.store_resets,
-        }
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections.abc import Iterable, Mapping, Sized
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dp_withpre import CostLike
@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "BatchCacheStats",
     "ClusterStats",
+    "Collector",
     "CoreDPStats",
     "ParetoDPStats",
     "PolicyServeStats",
@@ -48,8 +49,70 @@ __all__ = [
 ]
 
 
+class Collector:
+    """Base of the dataclass collectors: one ``as_dict`` rule for all.
+
+    ``as_dict`` is the collector's wire / cache-record form: the
+    dataclass fields in declaration order (``repr=False`` fields such as
+    latency windows are left out, and a dict of sub-collectors becomes a
+    name-sorted dict of their ``as_dict``), then the attributes named in
+    :attr:`DERIVED`, in order.  A field named in :attr:`DERIVED` moves to
+    that tail.
+    """
+
+    DERIVED: ClassVar[tuple[str, ...]] = ()
+
+    def as_dict(self) -> dict[str, Any]:
+        out: dict[str, Any] = {}
+        for f in fields(self):  # type: ignore[arg-type]
+            if f.repr and f.name not in self.DERIVED:
+                value = getattr(self, f.name)
+                if isinstance(value, dict):
+                    value = {k: v.as_dict() for k, v in sorted(value.items())}
+                out[f.name] = value
+        for name in self.DERIVED:
+            out[name] = getattr(self, name)
+        return out
+
+
+#: Latency window size per collector — enough for stable p99 estimates on
+#: bursty traffic without unbounded growth in a long-lived server.
+_LATENCY_WINDOW = 4096
+
+
+def _latency_window() -> Any:
+    """Field of a :class:`_LatencyCollector`: the last latencies, seconds."""
+    return field(
+        default_factory=lambda: deque(maxlen=_LATENCY_WINDOW), repr=False
+    )
+
+
+def _quantile(q: float) -> Any:
+    """Read-only property: the ``q``-quantile of the latency window."""
+    return property(lambda self: self.latency_quantile(q))
+
+
+class _LatencyCollector(Collector):
+    """A collector with a sliding ``latencies`` window."""
+
+    latencies: deque[float]
+
+    def latency_quantile(self, q: float) -> float | None:
+        """Nearest-rank ``q``-quantile of the latency window.
+
+        Returns ``None`` (wire ``null``) for an idle window — a window
+        with no measurements is *unknown*, not a genuine zero-latency
+        observation, and consumers must be able to tell the two apart.
+        """
+        if not self.latencies:
+            return None
+        ordered = sorted(self.latencies)
+        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+        return ordered[rank]
+
+
 @dataclass
-class BatchCacheStats:
+class BatchCacheStats(Collector):
     """Cache and dedupe counters of the batch executor.
 
     ``hits``/``misses`` count cache lookups (one per *unique* digest in a
@@ -92,6 +155,8 @@ class BatchCacheStats:
     #: risk interleaved/lost appends; see :mod:`repro.batch.cache`).
     locking: str = "memory"
 
+    DERIVED = ("hit_rate", "locking")
+
     def record_hit(self, *, disk: bool = False) -> None:
         self.hits += 1
         if disk:
@@ -106,34 +171,9 @@ class BatchCacheStats:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    def as_dict(self) -> dict[str, float | int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "evictions": self.evictions,
-            "disk_evictions": self.disk_evictions,
-            "stores": self.stores,
-            "unique_solved": self.unique_solved,
-            "duplicates_folded": self.duplicates_folded,
-            "schema_discards": self.schema_discards,
-            "solve_timeouts": self.solve_timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
-            "quarantined": self.quarantined,
-            "quarantine_blocked": self.quarantine_blocked,
-            "corrupt_lines": self.corrupt_lines,
-            "hit_rate": self.hit_rate,
-            "locking": self.locking,
-        }
-
-
-#: Latency reservoir size per policy — enough for stable p99 estimates on
-#: bursty traffic without unbounded growth in a long-lived server.
-_LATENCY_WINDOW = 4096
-
 
 @dataclass
-class PolicyServeStats:
+class PolicyServeStats(_LatencyCollector):
     """Per-policy counters of the serving frontend (:mod:`repro.serve`).
 
     ``requests`` counts solve requests routed to the policy;
@@ -156,41 +196,18 @@ class PolicyServeStats:
     #: is retried by the cluster router, not a failed solve).
     overloads: int = 0
     errors: int = 0
-    latencies: deque = field(
-        default_factory=lambda: deque(maxlen=_LATENCY_WINDOW), repr=False
-    )
+    latencies: deque[float] = _latency_window()
+
+    DERIVED = ("p50_latency", "p99_latency")
+    p50_latency = _quantile(0.50)
+    p99_latency = _quantile(0.99)
 
     def record_latency(self, seconds: float) -> None:
         self.latencies.append(seconds)
 
-    def latency_quantile(self, q: float) -> float | None:
-        """Nearest-rank ``q``-quantile of the latency window.
-
-        Returns ``None`` (wire ``null``) for an idle window — a window
-        with no measurements is *unknown*, not a genuine zero-latency
-        observation, and consumers must be able to tell the two apart.
-        """
-        if not self.latencies:
-            return None
-        ordered = sorted(self.latencies)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
-
-    def as_dict(self) -> dict[str, float | int | None]:
-        return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "coalesced_joins": self.coalesced_joins,
-            "solves_scheduled": self.solves_scheduled,
-            "overloads": self.overloads,
-            "errors": self.errors,
-            "p50_latency": self.latency_quantile(0.50),
-            "p99_latency": self.latency_quantile(0.99),
-        }
-
 
 @dataclass
-class SessionServeStats:
+class SessionServeStats(_LatencyCollector):
     """Counters of one live session (the serve tier's ``session.*`` ops).
 
     ``applies`` counts ``session.delta`` calls, ``deltas_applied`` the
@@ -199,8 +216,7 @@ class SessionServeStats:
     :class:`repro.dynamics.SessionStats` store counters (tables answered
     from the retained store vs recomputed along the dirty root paths).
     Delta latencies (seconds, request decode to re-solved frontier) land
-    in the same sliding-window quantile machinery as
-    :class:`PolicyServeStats`.
+    in the same latency window as :class:`PolicyServeStats`.
     """
 
     applies: int = 0
@@ -208,9 +224,11 @@ class SessionServeStats:
     fronts_reused: int = 0
     fronts_invalidated: int = 0
     errors: int = 0
-    latencies: deque = field(
-        default_factory=lambda: deque(maxlen=_LATENCY_WINDOW), repr=False
-    )
+    latencies: deque[float] = _latency_window()
+
+    DERIVED = ("p50_delta_latency", "p99_delta_latency")
+    p50_delta_latency = _quantile(0.50)
+    p99_delta_latency = _quantile(0.99)
 
     def record_apply(
         self,
@@ -227,19 +245,6 @@ class SessionServeStats:
         self.fronts_invalidated += invalidated
         self.latencies.append(seconds)
 
-    def latency_quantile(self, q: float) -> float | None:
-        """Nearest-rank ``q``-quantile of the latency window.
-
-        ``None`` for an idle window (no deltas applied yet) — never
-        ``0.0``, which would be indistinguishable from a measured
-        zero-latency apply.
-        """
-        if not self.latencies:
-            return None
-        ordered = sorted(self.latencies)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
-
     def merge(self, other: SessionServeStats) -> SessionServeStats:
         """Fold ``other`` into this collector (closed-session aggregation)."""
         self.applies += other.applies
@@ -250,20 +255,9 @@ class SessionServeStats:
         self.latencies.extend(other.latencies)
         return self
 
-    def as_dict(self) -> dict[str, float | int | None]:
-        return {
-            "applies": self.applies,
-            "deltas_applied": self.deltas_applied,
-            "fronts_reused": self.fronts_reused,
-            "fronts_invalidated": self.fronts_invalidated,
-            "errors": self.errors,
-            "p50_delta_latency": self.latency_quantile(0.50),
-            "p99_delta_latency": self.latency_quantile(0.99),
-        }
-
 
 @dataclass
-class ServeStats:
+class ServeStats(Collector):
     """Whole-server counters of the serving frontend (:mod:`repro.serve`).
 
     Per-policy breakdowns live in :attr:`policies`
@@ -285,20 +279,9 @@ class ServeStats:
             stats = self.policies[name] = PolicyServeStats()
             return stats
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "connections": self.connections,
-            "batches": self.batches,
-            "batch_instances": self.batch_instances,
-            "policies": {
-                name: stats.as_dict()
-                for name, stats in sorted(self.policies.items())
-            },
-        }
-
 
 @dataclass
-class WorkerRouteStats:
+class WorkerRouteStats(Collector):
     """Router-side health/overload counters for one cluster worker.
 
     ``routed`` counts requests the router dispatched to the worker (as
@@ -318,19 +301,9 @@ class WorkerRouteStats:
     deaths: int = 0
     respawns: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "routed": self.routed,
-            "sheds": self.sheds,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
-            "deaths": self.deaths,
-            "respawns": self.respawns,
-        }
-
 
 @dataclass
-class ClusterStats:
+class ClusterStats(Collector):
     """Counters of the digest-routing cluster router
     (:class:`repro.serve.cluster.ClusterRouter`).
 
@@ -358,22 +331,9 @@ class ClusterStats:
             stats = self.workers[name] = WorkerRouteStats()
             return stats
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "connections": self.connections,
-            "requests_routed": self.requests_routed,
-            "retries": self.retries,
-            "rejected": self.rejected,
-            "lost_sessions": self.lost_sessions,
-            "workers": {
-                name: stats.as_dict()
-                for name, stats in sorted(self.workers.items())
-            },
-        }
-
 
 @dataclass
-class CoreDPStats:
+class CoreDPStats(Collector):
     """``(e, n)`` table statistics of one Theorem-1 MinCost-WithPre run.
 
     A merge is recorded once per child that has children of its own and
@@ -394,18 +354,9 @@ class CoreDPStats:
         self.max_e_dim = max(self.max_e_dim, e_dim)
         self.max_n_dim = max(self.max_n_dim, n_dim)
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "merges": self.merges,
-            "total_cells": self.total_cells,
-            "max_cells": self.max_cells,
-            "max_e_dim": self.max_e_dim,
-            "max_n_dim": self.max_n_dim,
-        }
-
 
 @dataclass
-class ParetoDPStats:
+class ParetoDPStats(Collector):
     """Label statistics of one (or many aggregated) power-frontier runs.
 
     ``labels_created`` counts the full ``|acc| × |options|`` candidate
@@ -430,6 +381,8 @@ class ParetoDPStats:
     memo_labels_shared: int = 0  #: labels served from a memoized table
     max_front_size: int = 0  #: largest (g, p) front for a single flow value
     max_flow_keys: int = 0  #: most distinct flow values at one node
+
+    DERIVED = ("prune_ratio", "generation_ratio", "memo_hit_rate")
 
     def record_table(self, table: Mapping[int, Sized]) -> None:
         self.max_flow_keys = max(self.max_flow_keys, len(table))
@@ -461,51 +414,20 @@ class ParetoDPStats:
         lookups = self.memo_hits + self.memo_misses
         return self.memo_hits / lookups if lookups else 0.0
 
-    _SUM_FIELDS = (
-        "merges",
-        "labels_created",
-        "labels_generated",
-        "labels_kept",
-        "merge_rejected",
-        "memo_hits",
-        "memo_misses",
-        "memo_labels_shared",
-    )
-    _MAX_FIELDS = ("max_front_size", "max_flow_keys")
-
     def absorb(self, counters: Mapping[str, float]) -> ParetoDPStats:
         """Fold another run's ``as_dict`` counters into this collector.
 
         Used by the batch CLI and the serving tier to aggregate the
         per-record kernel statistics solver policies attach to cache
-        records; unknown/derived keys (such as the per-engine solve
-        counts of records written by 1.9.0) are ignored, missing keys
-        count 0.
+        records.  Peak fields (``max_*``) take the max, every other field
+        sums; unknown/derived keys (such as the per-engine solve counts
+        of records written by 1.9.0) are ignored, missing keys count 0.
         """
-        for name in self._SUM_FIELDS:
-            setattr(self, name, getattr(self, name) + int(counters.get(name, 0)))
-        for name in self._MAX_FIELDS:
-            setattr(
-                self, name, max(getattr(self, name), int(counters.get(name, 0)))
-            )
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), int(counters.get(f.name, 0))
+            fold = max(mine, theirs) if f.name.startswith("max_") else mine + theirs
+            setattr(self, f.name, fold)
         return self
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "merges": self.merges,
-            "labels_created": self.labels_created,
-            "labels_generated": self.labels_generated,
-            "labels_kept": self.labels_kept,
-            "merge_rejected": self.merge_rejected,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "memo_labels_shared": self.memo_labels_shared,
-            "max_front_size": self.max_front_size,
-            "max_flow_keys": self.max_flow_keys,
-            "prune_ratio": self.prune_ratio,
-            "generation_ratio": self.generation_ratio,
-            "memo_hit_rate": self.memo_hit_rate,
-        }
 
 
 def instrument_replica_update(

@@ -72,6 +72,8 @@ from repro.experiments import (
 )
 from repro.power.dp_power_pareto import power_frontier
 from repro.power.modes import ModeSet, PowerModel
+from repro.serve import ClusterRouter, InProcessSpawner, SubprocessSpawner, WorkerConfig
+from repro.serve.server import JsonLinesEndpoint
 from repro.tree.generators import paper_tree, random_preexisting
 from repro.tree.model import Tree
 from repro.tree.serialize import tree_from_json, tree_to_json
@@ -184,32 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8571,
         help="TCP port (0 binds an ephemeral port; the choice is printed)",
     )
-    v.add_argument("--workers", type=int, default=1, help="process-pool size")
-    v.add_argument(
-        "--max-batch", type=int, default=32,
-        help="instances per micro-batch drained through solve_batch",
-    )
-    v.add_argument(
-        "--max-delay-ms", type=float, default=2.0,
-        help="linger (ms) letting a burst accumulate into one micro-batch",
-    )
-    v.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="directory for the persistent result store (sharded JSONL)",
-    )
-    v.add_argument("--lru-size", type=int, default=4096)
-    v.add_argument("--disk-size", type=int, default=None, metavar="N")
-    v.add_argument(
-        "--max-pending", type=int, default=None, metavar="N",
-        help="admission bound on pending canonical solves; excess load is "
-        "shed with a retriable 'overloaded' error (default: unbounded)",
-    )
-    v.add_argument(
-        "--solve-timeout", type=float, default=None, metavar="SECS",
-        help="wall-clock deadline per supervised solve wave; hung solves "
-        "answer with a retriable 'timeout' error, the pool is rebuilt and "
-        "the digest quarantined (default: no deadline)",
-    )
+    WorkerConfig.add_arguments(v, max_pending=None)
 
     u = sub.add_parser(
         "cluster",
@@ -237,27 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fallbacks", type=int, default=1,
         help="extra ring owners tried after the primary sheds or dies",
     )
-    u.add_argument(
-        "--max-pending", type=int, default=64, metavar="N",
-        help="per-worker admission bound (the cluster's backpressure; "
-        "0 = unbounded)",
-    )
-    u.add_argument("--workers", type=int, default=1,
-                   help="process-pool size inside each worker")
-    u.add_argument("--max-batch", type=int, default=32)
-    u.add_argument("--max-delay-ms", type=float, default=2.0)
-    u.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="base directory for persistent caches; each worker owns the "
-        "disjoint subdirectory <cache-dir>/<worker-name>",
-    )
-    u.add_argument("--lru-size", type=int, default=4096)
-    u.add_argument("--disk-size", type=int, default=None, metavar="N")
-    u.add_argument(
-        "--solve-timeout", type=float, default=None, metavar="SECS",
-        help="per-worker wall-clock deadline for one supervised solve "
-        "wave (forwarded to every worker; default: no deadline)",
-    )
+    WorkerConfig.add_arguments(u, max_pending=64)
 
     c = sub.add_parser(
         "client",
@@ -460,86 +417,38 @@ def _with_default_power(instances, policy, args):
     ]
 
 
-async def _run_server(args: argparse.Namespace) -> int:
-    from repro.serve import BatchServer
-
-    cache = ResultCache(
-        args.lru_size,
-        cache_dir=args.cache_dir,
-        max_disk_entries=args.disk_size,
-    )
-    server = BatchServer(
-        cache=cache,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
-        max_pending=args.max_pending,
-        solve_timeout=args.solve_timeout,
-    )
-    async with server:
-        host, port = await server.listen(args.host, args.port)
-        print(f"serving on {host}:{port}", flush=True)
-        loop = asyncio.get_running_loop()
-        stop_tasks: list[asyncio.Task] = []
-
-        def _request_stop() -> None:
-            stop_tasks.append(loop.create_task(server.stop()))
-
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):  # pragma: no cover
-                loop.add_signal_handler(sig, _request_stop)
-        await server.serve_forever()
-    print("server stopped", flush=True)
-    return 0
-
-
-async def _run_cluster(args: argparse.Namespace) -> int:
-    from repro.serve import (
-        ClusterRouter,
-        InProcessSpawner,
-        SubprocessSpawner,
-        WorkerConfig,
-    )
-
-    spawner = (
-        SubprocessSpawner(host=args.host)
-        if args.backend == "subprocess"
-        else InProcessSpawner()
-    )
-    config = WorkerConfig(
-        max_pending=args.max_pending if args.max_pending > 0 else None,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
-        pool_workers=args.workers,
-        lru_size=args.lru_size,
-        max_disk_entries=args.disk_size,
-        cache_dir=args.cache_dir,
-        solve_timeout=args.solve_timeout,
-    )
-    router = ClusterRouter(
-        spawner,
-        args.cluster_workers,
-        config,
-        fallbacks=args.fallbacks,
-    )
-    async with router:
-        host, port = await router.listen(args.host, args.port)
-        print(
-            f"cluster of {args.cluster_workers} {args.backend} workers "
-            f"serving on {host}:{port}",
-            flush=True,
+async def _run_endpoint(args: argparse.Namespace) -> int:
+    """``repro serve`` / ``repro cluster``: listen, print the banner,
+    serve until a shutdown op, SIGINT or SIGTERM stops the endpoint."""
+    config = WorkerConfig.from_args(args)
+    endpoint: JsonLinesEndpoint
+    if args.command == "serve":
+        endpoint, name, banner = config.server(args.cache_dir), "server", ""
+    else:
+        spawner = (
+            SubprocessSpawner(host=args.host)
+            if args.backend == "subprocess"
+            else InProcessSpawner()
         )
+        endpoint = ClusterRouter(
+            spawner, args.cluster_workers, config, fallbacks=args.fallbacks
+        )
+        name = "cluster"
+        banner = f"cluster of {args.cluster_workers} {args.backend} workers "
+    async with endpoint:
+        host, port = await endpoint.listen(args.host, args.port)
+        print(f"{banner}serving on {host}:{port}", flush=True)
         loop = asyncio.get_running_loop()
         stop_tasks: list[asyncio.Task] = []
 
         def _request_stop() -> None:
-            stop_tasks.append(loop.create_task(router.stop()))
+            stop_tasks.append(loop.create_task(endpoint.stop()))
 
         for sig in (signal.SIGINT, signal.SIGTERM):
             with contextlib.suppress(NotImplementedError):  # pragma: no cover
                 loop.add_signal_handler(sig, _request_stop)
-        await router.serve_forever()
-    print("cluster stopped", flush=True)
+        await endpoint.serve_forever()
+    print(f"{name} stopped", flush=True)
     return 0
 
 
@@ -1048,16 +957,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
         return 0
 
-    if args.command == "serve":
+    if args.command in ("serve", "cluster"):
         try:
-            return asyncio.run(_run_server(args))
-        except OSError as exc:  # e.g. port already in use
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "cluster":
-        try:
-            return asyncio.run(_run_cluster(args))
+            return asyncio.run(_run_endpoint(args))
         except OSError as exc:  # e.g. port already in use
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -31,6 +31,7 @@ advisory-flock contention of a shared ``--cache-dir`` disappears.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import contextlib
 import re
@@ -66,9 +67,17 @@ class WorkerDiedError(ReproError):
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Shape of one spawned worker (mirrors ``repro serve`` knobs)."""
+    """The settings of one serve worker, defined once.
 
-    #: Admission bound handed to :class:`BatchServer` ``max_pending``.
+    ``repro serve`` and ``repro cluster`` declare and read these flags
+    here (:meth:`add_arguments`, :meth:`from_args`), the subprocess
+    backend renders them for a child ``repro serve`` (:meth:`argv`), and
+    ``repro serve`` and the in-process backend build the worker's server
+    here (:meth:`server`).
+    """
+
+    #: Admission bound handed to :class:`BatchServer` ``max_pending``
+    #: (``None`` = unbounded).
     max_pending: int | None = None
     #: Micro-batch size bound.
     max_batch: int = 32
@@ -93,6 +102,94 @@ class WorkerConfig:
         if self.cache_dir is None:
             return None
         return Path(self.cache_dir) / name
+
+    @staticmethod
+    def add_arguments(
+        parser: argparse.ArgumentParser, *, max_pending: int | None
+    ) -> None:
+        """Declare the worker flags; ``max_pending`` is their one default
+        that differs between ``repro serve`` and ``repro cluster``."""
+        parser.add_argument(
+            "--workers", type=int, default=1,
+            help="solver process-pool size per worker",
+        )
+        parser.add_argument(
+            "--max-batch", type=int, default=32,
+            help="instances per micro-batch drained through solve_batch",
+        )
+        parser.add_argument(
+            "--max-delay-ms", type=float, default=2.0,
+            help="linger (ms) letting a burst accumulate into one micro-batch",
+        )
+        parser.add_argument(
+            "--cache-dir", type=str, default=None,
+            help="directory for the persistent result store (sharded JSONL); "
+            "a cluster worker owns the subdirectory <cache-dir>/<worker-name>",
+        )
+        parser.add_argument("--lru-size", type=int, default=4096)
+        parser.add_argument("--disk-size", type=int, default=None, metavar="N")
+        parser.add_argument(
+            "--max-pending", type=int, default=max_pending, metavar="N",
+            help="admission bound on pending canonical solves per worker; "
+            "excess load is shed with a retriable 'overloaded' error; "
+            f"0 = unbounded (default: {max_pending or 'unbounded'})",
+        )
+        parser.add_argument(
+            "--solve-timeout", type=float, default=None, metavar="SECS",
+            help="wall-clock deadline per supervised solve wave; hung solves "
+            "answer with a retriable 'timeout' error, the pool is rebuilt "
+            "and the digest quarantined (default: no deadline)",
+        )
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> WorkerConfig:
+        """The config the :meth:`add_arguments` flags describe."""
+        return cls(
+            max_pending=args.max_pending or None,
+            max_batch=args.max_batch,
+            max_delay=args.max_delay_ms / 1000.0,
+            pool_workers=args.workers,
+            lru_size=args.lru_size,
+            max_disk_entries=args.disk_size,
+            cache_dir=args.cache_dir,
+            solve_timeout=args.solve_timeout,
+        )
+
+    def argv(self, name: str) -> list[str]:
+        """The flags of a child ``repro serve`` running worker ``name``."""
+        flags = {
+            "--workers": self.pool_workers,
+            "--max-batch": self.max_batch,
+            "--max-delay-ms": self.max_delay * 1000.0,
+            "--cache-dir": self.worker_cache_dir(name),
+            "--lru-size": self.lru_size,
+            "--disk-size": self.max_disk_entries,
+            "--max-pending": self.max_pending,
+            "--solve-timeout": self.solve_timeout,
+        }
+        return [
+            arg
+            for flag, value in flags.items()
+            if value is not None
+            for arg in (flag, str(value))
+        ]
+
+    def server(self, cache_dir: str | Path | None) -> BatchServer:
+        """An unstarted :class:`BatchServer` of this shape, over a fresh
+        :class:`ResultCache` persisted under ``cache_dir`` (if given)."""
+        cache = ResultCache(
+            self.lru_size,
+            cache_dir=cache_dir,
+            max_disk_entries=self.max_disk_entries,
+        )
+        return BatchServer(
+            cache=cache,
+            workers=self.pool_workers,
+            max_batch=self.max_batch,
+            max_delay=self.max_delay,
+            max_pending=self.max_pending,
+            solve_timeout=self.solve_timeout,
+        )
 
 
 class WorkerHandle(ABC):
@@ -216,20 +313,7 @@ class InProcessSpawner(Spawner):
             raise ConfigurationError(
                 f"worker {name!r} is still alive; kill or stop it first"
             )
-        cache_dir = config.worker_cache_dir(name)
-        cache = ResultCache(
-            config.lru_size,
-            cache_dir=cache_dir,
-            max_disk_entries=config.max_disk_entries,
-        )
-        server = BatchServer(
-            cache=cache,
-            workers=config.pool_workers,
-            max_batch=config.max_batch,
-            max_delay=config.max_delay,
-            max_pending=config.max_pending,
-            solve_timeout=config.solve_timeout,
-        )
+        server = config.server(config.worker_cache_dir(name))
         await server.start()
         worker = _InProcessWorker(name, server)
         self._workers[name] = worker
@@ -246,6 +330,9 @@ class InProcessSpawner(Spawner):
 # subprocess backend (real deployment)
 # ---------------------------------------------------------------------------
 _SERVING_RE = re.compile(r"serving on ([0-9a-fA-F.:\[\]]+):(\d+)")
+
+#: Seconds a child ``repro serve`` gets to announce its port.
+_START_TIMEOUT = 30.0
 
 
 class _SubprocessWorker(WorkerHandle):
@@ -304,40 +391,16 @@ class SubprocessSpawner(Spawner):
     so ``PYTHONPATH`` propagates.
     """
 
-    def __init__(self, host: str = "127.0.0.1", start_timeout: float = 30.0) -> None:
+    def __init__(self, host: str = "127.0.0.1") -> None:
         self.host = host
-        self.start_timeout = start_timeout
         self._workers: dict[str, _SubprocessWorker] = {}
 
     def _command(self, name: str, config: WorkerConfig) -> list[str]:
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--host",
-            self.host,
-            "--port",
-            "0",
-            "--workers",
-            str(config.pool_workers),
-            "--max-batch",
-            str(config.max_batch),
-            "--max-delay-ms",
-            str(config.max_delay * 1000.0),
-            "--lru-size",
-            str(config.lru_size),
+        return [
+            sys.executable, "-m", "repro", "serve",
+            "--host", self.host, "--port", "0",
+            *config.argv(name),
         ]
-        if config.max_pending is not None:
-            cmd += ["--max-pending", str(config.max_pending)]
-        if config.max_disk_entries is not None:
-            cmd += ["--disk-size", str(config.max_disk_entries)]
-        cache_dir = config.worker_cache_dir(name)
-        if cache_dir is not None:
-            cmd += ["--cache-dir", str(cache_dir)]
-        if config.solve_timeout is not None:
-            cmd += ["--solve-timeout", str(config.solve_timeout)]
-        return cmd
 
     async def spawn(self, name: str, config: WorkerConfig) -> WorkerHandle:
         old = self._workers.get(name)
@@ -352,7 +415,7 @@ class SubprocessSpawner(Spawner):
         )
         try:
             port = await asyncio.wait_for(
-                self._read_port(process), timeout=self.start_timeout
+                self._read_port(process), timeout=_START_TIMEOUT
             )
             client = await ServeClient.connect(self.host, port)
         except Exception:

@@ -8,6 +8,7 @@ defaults.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
@@ -70,3 +71,29 @@ def test_help_lists_the_worker_flags_with_their_defaults(command, capsys):
     for flag, (dest, default) in flags.items():
         assert flag in help_text
         assert defaults[dest] == default, flag
+
+
+def test_from_args_reads_the_child_command_back(tmp_path):
+    config = _full_config(tmp_path)
+    cmd = SubprocessSpawner()._command("w1", config)
+    parsed = WorkerConfig.from_args(build_parser().parse_args(cmd[3:]))
+    assert parsed == dataclasses.replace(config, cache_dir=str(tmp_path / "w1"))
+
+
+def test_default_config_round_trips():
+    cmd = SubprocessSpawner()._command("w0", WorkerConfig())
+    assert WorkerConfig.from_args(build_parser().parse_args(cmd[3:])) == WorkerConfig()
+
+
+@pytest.mark.parametrize("command", ["serve", "cluster"])
+def test_max_pending_zero_means_unbounded(command):
+    args = build_parser().parse_args([command, "--max-pending", "0"])
+    assert WorkerConfig.from_args(args).max_pending is None
+
+
+def test_server_has_the_config_shape(tmp_path):
+    server = _full_config(tmp_path).server(tmp_path / "solo")
+    assert (server.cache.max_entries, server.cache.max_disk_entries) == (111, 222)
+    assert (tmp_path / "solo").is_dir()
+    assert (server._workers, server._max_batch, server._max_pending) == (3, 9, 7)
+    assert (server._max_delay, server._solve_timeout) == (0.005, 12.5)

@@ -423,7 +423,8 @@ async def _run_endpoint(args: argparse.Namespace) -> int:
     config = WorkerConfig.from_args(args)
     endpoint: JsonLinesEndpoint
     if args.command == "serve":
-        endpoint, name, banner = config.server(args.cache_dir), "server", ""
+        endpoint = config.server(args.cache_dir)
+        name, banner = "server", ""
     else:
         spawner = (
             SubprocessSpawner(host=args.host)

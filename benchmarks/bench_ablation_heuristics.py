@@ -19,9 +19,9 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.core.costs import ModalCostModel
-from repro.power.dp_power_pareto import power_frontier
 from repro.power.greedy_power import greedy_power_candidates
 from repro.power.heuristics import local_search_power, reuse_aware_greedy_power
+from repro.power.kernels import KERNELS
 from repro.power.modes import PowerModel, ModeSet
 from repro.tree.generators import paper_tree, random_preexisting_modes
 
@@ -40,7 +40,7 @@ def _run():
         tree = paper_tree(50, request_range=(1, 5), rng=rng)
         pre = random_preexisting_modes(tree, 5, 2, rng=rng, mode=1)
         t0 = time.perf_counter()
-        frontier = power_frontier(tree, PM, CM, pre)
+        frontier = KERNELS["array"](tree, PM, CM, pre)
         times["DP"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         gr = greedy_power_candidates(tree, PM, CM, pre)

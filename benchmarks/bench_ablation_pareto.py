@@ -14,7 +14,7 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core.costs import ModalCostModel
 from repro.power.dp_power_counts import power_frontier_counts
-from repro.power.dp_power_pareto import power_frontier
+from repro.power.kernels import KERNELS
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.generators import paper_tree, random_preexisting_modes
 
@@ -30,7 +30,7 @@ def _run_both():
         tree = paper_tree(n, request_range=(1, 5), rng=rng)
         pre = random_preexisting_modes(tree, min(3, n // 5), 2, rng=rng, mode=1)
         t0 = time.perf_counter()
-        par = power_frontier(tree, PM, CM, pre).pairs()
+        par = KERNELS["array"](tree, PM, CM, pre).pairs()
         t_par = time.perf_counter() - t0
         t0 = time.perf_counter()
         cnt = power_frontier_counts(tree, PM, CM, pre)

@@ -15,8 +15,8 @@ from repro.core.costs import ModalCostModel, UniformCostModel
 from repro.core.dp_nopre import dp_nopre_placement
 from repro.core.dp_withpre import replica_update
 from repro.core.greedy import greedy_placement
-from repro.power.dp_power_pareto import power_frontier
 from repro.power.greedy_power import greedy_power_candidates
+from repro.power.kernels import KERNELS
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.generators import paper_tree, random_preexisting, random_preexisting_modes
 
@@ -87,7 +87,7 @@ def test_micro_dp_withpre_n800_e100(benchmark, fat800):
 
 
 def test_micro_power_frontier_n50_e5(benchmark, power50, power50_pre):
-    frontier = benchmark(power_frontier, power50, PM, CM, power50_pre)
+    frontier = benchmark(KERNELS["array"], power50, PM, CM, power50_pre)
     assert len(frontier) > 0
 
 
@@ -109,7 +109,7 @@ def test_micro_power_frontier_three_mode_n100(
     # Wider mode set -> wider fronts: exercises the dominance-aware merge
     # where label work (not traversal skeleton) dominates the runtime.
     frontier = benchmark(
-        power_frontier, power100_three_mode, PM3, CM3, power100_pre
+        KERNELS["array"], power100_three_mode, PM3, CM3, power100_pre
     )
     assert len(frontier) > 0
 

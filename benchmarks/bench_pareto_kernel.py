@@ -1,8 +1,9 @@
-"""Pareto-DP kernel benchmark + thresholded perf smoke (PR 5).
+"""Pareto-DP kernel benchmark + thresholded perf smoke.
 
-Measures the rewritten dominance-aware row kernel
-(:mod:`repro.power.dp_power_pareto`) against the frozen pre-rewrite
-kernel (:mod:`_legacy_pareto`) on one instance per family, interleaving
+Measures the production engine (``KERNELS["array"]``, the
+structure-of-arrays kernel of :mod:`repro.power.dp_power_array`) against
+the frozen plain kernel (:mod:`_legacy_pareto`) on one instance per
+family, interleaving
 the two timers so CPU-frequency drift cannot bias the ratio, and writes
 ``benchmarks/results/BENCH_pareto.json`` — per family: wall times for
 both kernels, the speedup, and the kernel counters (labels created /
@@ -12,7 +13,7 @@ artifact, so the speedup history is inspectable per commit.
 Two gates fail the build:
 
 * **speedup floor** — the families marked ``hard`` (larger mode sets,
-  bigger fronts: where the old materialise-then-prune kernel's cross
+  bigger fronts: where the plain materialise-then-prune kernel's cross
   products explode) must beat the legacy kernel by
   ``REPRO_BENCH_MIN_PARETO_SPEEDUP`` (default 3.0; CI relaxes on shared
   runners).  The small two-mode families are *recorded* but not gated:
@@ -22,19 +23,19 @@ Two gates fail the build:
   therefore met only where label work dominates; ``BENCH_pareto.json``
   records the per-family truth rather than gating a number the
   interpreter-bound micro case cannot reach.)
-* **regression smoke** — the new kernel's wall time per family must stay
+* **regression smoke** — the engine's wall time per family must stay
   within ``REPRO_PARETO_REGRESSION_FACTOR`` (default 1.5) of the
   committed baseline (``benchmarks/baselines/BENCH_pareto_baseline.json``),
   after rescaling by a pure-Python calibration loop measured on both
   machines — so a slower runner shifts the threshold instead of failing
   the build.
 
-A third gate (PR 7, ``test_array_vs_tuple_kernel``) compares the
-structure-of-arrays kernel (:mod:`repro.power.dp_power_array`) against
-the row-tuple kernel on label-heavy diverse-cost families: frontiers
-must be byte-identical and the ``hard`` families must beat the tuple
-kernel by ``REPRO_BENCH_MIN_ARRAY_SPEEDUP`` (default 3.0).  Results land
-in ``benchmarks/results/BENCH_pareto_array.json``.
+A third gate (``test_array_vs_tuple_kernel``) compares the array kernel
+against the plain reference DP (:func:`repro.power.dp_power_pareto
+.power_frontier`) on label-heavy diverse-cost families: frontiers must
+be byte-identical and the ``hard`` families must beat the reference by
+``REPRO_BENCH_MIN_ARRAY_SPEEDUP`` (default 3.0).  Results land in
+``benchmarks/results/BENCH_pareto_array.json``.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from _legacy_pareto import legacy_power_frontier_pairs  # noqa: E402
 from repro.analysis import format_table  # noqa: E402
 from repro.core.costs import ModalCostModel  # noqa: E402
 from repro.perf.stats import ParetoDPStats  # noqa: E402
-from repro.power.dp_power_array import power_frontier_array  # noqa: E402
 from repro.power.dp_power_pareto import power_frontier  # noqa: E402
+from repro.power.kernels import KERNELS  # noqa: E402
 from repro.power.modes import ModeSet, PowerModel  # noqa: E402
 from repro.tree.generators import (  # noqa: E402
     paper_tree,
@@ -160,12 +161,12 @@ def _diverse_instance(
 
 
 def _array_families() -> dict[str, dict]:
-    """Instances for the array-vs-tuple comparison (PR 7).
+    """Instances for the array-vs-reference comparison.
 
     ``hard=True`` families carry the ``REPRO_BENCH_MIN_ARRAY_SPEEDUP``
     gate.  Small instances are deliberately absent: below ~10^6 labels
     both kernels are bounded by the per-node skeleton and numpy call
-    overhead makes the array kernel *slower*.
+    overhead eats most of the array kernel's gain.
     """
     six = (1, 2, 4, 7, 11, 16)
     f: dict[str, dict] = {}
@@ -210,13 +211,13 @@ def _run_families() -> dict[str, dict]:
     for name, spec in _families().items():
         tree, pm, cm, pre = spec["tree"], spec["pm"], spec["cm"], spec["pre"]
         stats = ParetoDPStats()
-        frontier = power_frontier(tree, pm, cm, pre, stats=stats)
+        frontier = KERNELS["array"](tree, pm, cm, pre, stats=stats)
         legacy_pairs = legacy_power_frontier_pairs(tree, pm, cm, pre)
         assert frontier.pairs() == legacy_pairs, (
             f"{name}: kernel frontier diverged from the legacy kernel"
         )
         new_s, old_s = _paired(
-            lambda: power_frontier(tree, pm, cm, pre),
+            lambda: KERNELS["array"](tree, pm, cm, pre),
             lambda: legacy_power_frontier_pairs(tree, pm, cm, pre),
             spec["reps"],
         )
@@ -237,15 +238,15 @@ def _run_array_families() -> dict[str, dict]:
     out: dict[str, dict] = {}
     for name, spec in _array_families().items():
         tree, pm, cm, pre = spec["tree"], spec["pm"], spec["cm"], spec["pre"]
-        arr_stats, tup_stats = ParetoDPStats(), ParetoDPStats()
-        arr = power_frontier_array(tree, pm, cm, pre, stats=arr_stats)
-        tup = power_frontier(tree, pm, cm, pre, stats=tup_stats)
+        arr_stats = ParetoDPStats()
+        arr = KERNELS["array"](tree, pm, cm, pre, stats=arr_stats)
+        ref = power_frontier(tree, pm, cm, pre)
         # Byte identity first — a fast wrong frontier is not a speedup.
-        assert arr.pairs() == tup.pairs(), (
-            f"{name}: array kernel frontier diverged from the tuple oracle"
+        assert arr.pairs() == ref.pairs(), (
+            f"{name}: array kernel frontier diverged from the reference"
         )
-        arr_s, tup_s = _paired(
-            lambda: power_frontier_array(tree, pm, cm, pre),
+        arr_s, ref_s = _paired(
+            lambda: KERNELS["array"](tree, pm, cm, pre),
             lambda: power_frontier(tree, pm, cm, pre),
             spec["reps"],
         )
@@ -255,11 +256,10 @@ def _run_array_families() -> dict[str, dict]:
             "hard": spec["hard"],
             "points": len(arr),
             "array_seconds": arr_s,
-            "tuple_seconds": tup_s,
-            "speedup": tup_s / arr_s,
+            "reference_seconds": ref_s,
+            "speedup": ref_s / arr_s,
             "labels_created": arr_stats.labels_created,
             "array_labels_generated": arr_stats.labels_generated,
-            "tuple_labels_generated": tup_stats.labels_generated,
         }
     return out
 
@@ -338,11 +338,11 @@ def test_pareto_kernel_speedup_and_smoke(benchmark, emit):
 
 
 def test_array_vs_tuple_kernel(benchmark, emit, emit_json):
-    """PR 7 gate: the structure-of-arrays kernel vs the tuple oracle.
+    """The structure-of-arrays kernel vs the plain reference DP.
 
     Byte-identical (cost, power) frontiers are asserted inside the
-    runner; the ``hard`` label-heavy families must then beat the tuple
-    kernel by ``REPRO_BENCH_MIN_ARRAY_SPEEDUP`` (default 3.0)."""
+    runner; the ``hard`` label-heavy families must then beat the
+    reference by ``REPRO_BENCH_MIN_ARRAY_SPEEDUP`` (default 3.0)."""
     families = benchmark.pedantic(_run_array_families, rounds=1, iterations=1)
 
     emit_json("pareto_array", {"families": families})
@@ -353,7 +353,7 @@ def test_array_vs_tuple_kernel(benchmark, emit, emit_json):
             fam["n_modes"],
             fam["points"],
             fam["labels_created"],
-            f"{fam['tuple_seconds'] * 1e3:.1f}",
+            f"{fam['reference_seconds'] * 1e3:.1f}",
             f"{fam['array_seconds'] * 1e3:.1f}",
             f"{fam['speedup']:.2f}x",
             "hard" if fam["hard"] else "",
@@ -362,7 +362,7 @@ def test_array_vs_tuple_kernel(benchmark, emit, emit_json):
     ]
     table = format_table(
         (
-            "family", "N", "M", "pts", "created", "tuple_ms", "array_ms",
+            "family", "N", "M", "pts", "created", "ref_ms", "array_ms",
             "speedup", "gate",
         ),
         rows,
@@ -380,6 +380,7 @@ def test_array_vs_tuple_kernel(benchmark, emit, emit_json):
         if fam["hard"]:
             assert fam["speedup"] >= floor, (
                 f"{name}: array speedup {fam['speedup']:.2f}x fell below "
-                f"the {floor:.1f}x floor (tuple {fam['tuple_seconds']:.4f}s, "
+                f"the {floor:.1f}x floor (reference "
+                f"{fam['reference_seconds']:.4f}s, "
                 f"array {fam['array_seconds']:.4f}s)"
             )

@@ -22,10 +22,10 @@ import numpy as np
 
 from repro import ModalCostModel
 from repro.power import (
+    KERNELS,
     PowerModel,
     greedy_power_candidates,
     local_search_power,
-    power_frontier,
 )
 from repro.tree.generators import paper_tree, random_preexisting_modes
 
@@ -40,7 +40,7 @@ def main() -> None:
     print(f"instance: {tree.n_nodes} nodes, {tree.total_requests} requests, "
           f"pre-existing full-speed servers at {sorted(pre)}")
 
-    frontier = power_frontier(tree, power_model, cost_model, pre)
+    frontier = KERNELS["array"](tree, power_model, cost_model, pre)
     print(f"\nexact frontier ({len(frontier)} points):")
     for cost, power in frontier.pairs():
         print(f"  cost <= {cost:6.2f} -> power {power:8.1f}")

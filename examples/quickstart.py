@@ -25,7 +25,7 @@ from repro import (
     replica_update,
 )
 from repro.dynamics import RedrawRequests
-from repro.power import ModeSet, PowerModel, power_frontier
+from repro.power import KERNELS, ModeSet, PowerModel
 
 CAPACITY = 10
 
@@ -74,7 +74,7 @@ def main() -> None:
     power_model = PowerModel(ModeSet((5, 10)), static_power=12.5, alpha=3.0)
     cost_model = ModalCostModel.uniform(2, create=0.1, delete=0.01, changed=0.001)
     pre_modes = {v: 1 for v in first.replicas}  # yesterday's servers, full speed
-    frontier = power_frontier(evolved, power_model, cost_model, pre_modes)
+    frontier = KERNELS["array"](evolved, power_model, cost_model, pre_modes)
     print("\n[3] cost/power frontier (each extra euro buys fewer watts):")
     for cost, power in frontier.pairs():
         print(f"    cost <= {cost:6.2f}  ->  power {power:8.1f}")

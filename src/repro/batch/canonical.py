@@ -229,7 +229,7 @@ class SubtreeCodes:
         codes)`` — the code of ``v``'s marker-0 twin, i.e. the same code
         with the node's *own* pre-marker excluded.  This is the
         power-DP *table signature*: the per-flow
-        label table of ``subtree_v`` (:mod:`repro.power.dp_power_pareto`)
+        label table of ``subtree_v`` (:mod:`repro.power.dp_power_array`)
         depends on every load and pre-existing mode strictly inside the
         subtree and on ``v``'s own load, but not on whether ``v`` itself
         is pre-existing (placement on ``v`` is decided at its parent), so

@@ -70,7 +70,7 @@ from repro.experiments import (
     run_experiment3_parallel,
     run_scaling,
 )
-from repro.power.dp_power_pareto import power_frontier
+from repro.power.kernels import KERNELS
 from repro.power.modes import ModeSet, PowerModel
 from repro.serve import ClusterRouter, InProcessSpawner, SubprocessSpawner, WorkerConfig
 from repro.serve.server import JsonLinesEndpoint
@@ -671,7 +671,6 @@ def _dispatch_dynamics(args: argparse.Namespace) -> int:
     """``repro dynamics``: session tracks, or ``--incremental`` churn."""
     if args.incremental:
         from repro.dynamics import SessionState, apply_deltas
-        from repro.power.kernels import KERNELS
 
         rng = np.random.default_rng(args.seed)
         tree = paper_tree(args.nodes, rng=rng)
@@ -983,7 +982,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             modes.n_modes, create=args.create, delete=args.delete, changed=args.changed
         )
         pre = _parse_pre_modes(args.preexisting)
-        frontier = power_frontier(tree, power_model, cost_model, pre)
+        frontier = KERNELS["array"](tree, power_model, cost_model, pre)
         print(format_table(("cost", "power"), frontier.pairs()))
         if args.bound is not None:
             best = frontier.best_under_cost(args.bound)

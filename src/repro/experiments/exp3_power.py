@@ -31,7 +31,7 @@ import numpy as np
 from repro.analysis.stats import SeriesStats, summarize
 from repro.core.costs import ModalCostModel
 from repro.exceptions import ConfigurationError
-from repro.power.dp_power_pareto import power_frontier
+from repro.power.kernels import KERNELS
 from repro.power.greedy_power import greedy_power_candidates
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.generators import paper_tree, random_preexisting_modes
@@ -189,7 +189,7 @@ def run_experiment3(
             rng=rng,
             mode=config.preexisting_mode,
         )
-        frontier = power_frontier(tree, power_model, cost_model, pre).pairs()
+        frontier = KERNELS["array"](tree, power_model, cost_model, pre).pairs()
         candidates = greedy_power_candidates(tree, power_model, cost_model, pre)
         p_opt = frontier[-1][1]  # unconstrained optimum (frontier right end)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.costs import ModalCostModel, UniformCostModel
 from repro.core.dp_withpre import replica_update
-from repro.power.dp_power_pareto import power_frontier
+from repro.power.kernels import KERNELS
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.generators import paper_tree, random_preexisting, random_preexisting_modes
 
@@ -79,7 +79,7 @@ def run_scaling(
     for n in power_nopre_sizes:
         tree = paper_tree(n_nodes=n, request_range=(1, 5), rng=rng)
         secs, detail = _mean_time(
-            lambda: f"frontier={len(power_frontier(tree, power_model, modal_costs))}",
+            lambda: f"frontier={len(KERNELS['array'](tree, power_model, modal_costs))}",
             repeats,
         )
         points.append(ScalingPoint("power-nopre", n, 0, secs, detail))
@@ -89,7 +89,7 @@ def run_scaling(
         pre = random_preexisting_modes(tree, e, 2, rng=rng, mode=1)
         secs, detail = _mean_time(
             lambda: (
-                f"frontier={len(power_frontier(tree, power_model, modal_costs, pre))}"
+                f"frontier={len(KERNELS['array'](tree, power_model, modal_costs, pre))}"
             ),
             repeats,
         )

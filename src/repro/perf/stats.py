@@ -451,11 +451,11 @@ def instrument_pareto_frontier(
     cost_model: ModalCostModel,
     preexisting_modes: Mapping[int, int] | None = None,
 ) -> tuple["PowerFrontier", ParetoDPStats]:
-    """Run :func:`repro.power.dp_power_pareto.power_frontier` with a collector."""
-    from repro.power.dp_power_pareto import power_frontier
+    """Run the array kernel (``KERNELS["array"]``) with a collector."""
+    from repro.power.kernels import KERNELS
 
     stats = ParetoDPStats()
-    frontier = power_frontier(
+    frontier = KERNELS["array"](
         tree, power_model, cost_model, preexisting_modes, stats=stats
     )
     return frontier, stats

@@ -1,12 +1,14 @@
 """Power-aware placement (the paper's §4 contribution).
 
 * :mod:`~repro.power.modes` — mode sets and the Equation-3 power model;
-* :mod:`~repro.power.dp_power_pareto` — exact MinPower(-BoundedCost) solver
-  returning the full cost/power frontier (row-tuple reference kernel);
-* :mod:`~repro.power.dp_power_array` — structure-of-arrays numpy rebuild
-  of the same kernel (the production engine; byte-identical frontiers);
+* :mod:`~repro.power.dp_power_pareto` — the frontier types and the plain
+  Pareto-label DP (the test reference; no production path calls it);
+* :mod:`~repro.power.dp_power_array` — the structure-of-arrays numpy
+  kernel, the one engine every caller runs (byte-identical frontiers);
 * :mod:`~repro.power.kernels` — :data:`~repro.power.kernels.KERNELS`,
-  where production callers look the engine up;
+  where callers look the engine up, and the MinPower(-BoundedCost)
+  entry points :func:`~repro.power.kernels.min_power` and
+  :func:`~repro.power.kernels.min_power_bounded_cost` built on it;
 * :mod:`~repro.power.dp_power_counts` — paper-faithful count-vector DP
   (Theorem 3 state space; validation reference);
 * :mod:`~repro.power.greedy_power` — the GR capacity-sweep baseline of §5.2;
@@ -17,18 +19,12 @@
 
 from repro.power.dp_power_array import power_frontier_array
 from repro.power.dp_power_counts import power_frontier_counts
-from repro.power.dp_power_pareto import (
-    FrontierPoint,
-    PowerFrontier,
-    min_power,
-    min_power_bounded_cost,
-    power_frontier,
-)
+from repro.power.dp_power_pareto import FrontierPoint, PowerFrontier, power_frontier
 from repro.power.exhaustive_power import exhaustive_min_power, exhaustive_power_frontier
 from repro.power.greedy_power import GreedyPowerCandidates, greedy_power_candidates
 from repro.power.heuristics import local_search_power, reuse_aware_greedy_power
 from repro.power.frontstore import FrontStore
-from repro.power.kernels import KERNELS
+from repro.power.kernels import KERNELS, min_power, min_power_bounded_cost
 from repro.power.modes import ModeSet, PowerModel
 from repro.power.npcomplete import (
     TwoPartitionReduction,

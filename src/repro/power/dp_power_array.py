@@ -1,11 +1,12 @@
 """Array-native (structure-of-arrays) Pareto-label DP kernel.
 
-This is the numpy rebuild of :mod:`repro.power.dp_power_pareto`'s hot
-path.  The row kernel stores a ``(node, flow)`` front as a Python list of
-``(g, p, back)`` tuples and merges children one candidate at a time (heap
-stream-merge above ``_BRUTE_LIMIT``); per candidate that costs a tuple
-allocation, two float boxes and interpreter dispatch.  Here a front is
-three parallel sorted **column arrays** —
+This is the production engine of the paper's §4.3 DP; the plain
+reference it is pinned against, and the frontier types, live in
+:mod:`repro.power.dp_power_pareto`.  The reference stores a
+``(node, flow)`` front as a Python list of ``(g, p, back)`` tuples and
+merges children one candidate at a time; per candidate that costs a
+tuple allocation, two float boxes and interpreter dispatch.  Here a
+front is three parallel sorted **column arrays** —
 
 * ``g`` (cost so far, float64, strictly ascending),
 * ``p`` (power so far, float64, strictly descending),
@@ -27,16 +28,16 @@ stride sample supplies the peers).  The ``_EPS`` dominance sweep itself
 (a running *accepted-only* minimum — not a plain cumulative minimum, see
 below) runs over one bulk ``tolist()`` of the surviving power column,
 so its cost is linear in the survivors with a small constant and it is
-**bit-for-bit** the row kernel's sweep.
+**bit-for-bit** the reference's sweep.
 
-Byte identity with the row kernel is a hard contract, pinned by
-``tests/power/test_kernel_equivalence.py`` (array vs tuple vs the
-count-vector oracle).  The three rules that make it hold:
+Byte identity with the reference is a hard contract, pinned by
+``tests/power/test_kernel_equivalence.py`` (array vs the reference vs
+the count-vector oracle).  The three rules that make it hold:
 
 1. **Same summation order.**  Candidate values are built as
    ``acc + option`` with the accumulator operand first, options as
    ``front + scalar`` with the front operand first — float64 addition is
-   not associative, so the vectorised adds mirror the row kernel's
+   not associative, so the vectorised adds mirror the reference's
    expression trees exactly (elementwise IEEE-754 float64 equals Python
    float arithmetic).
 2. **Same sweep semantics.**  A candidate is accepted iff its ``p``
@@ -87,8 +88,8 @@ With a front store, nothing inside a run is published: a run that
 internal children follow gets one prefix entry, keyed by the usual
 ``prefix_key`` chain over its leaf codes.
 
-All of the row kernel's structural fast paths are kept, in columnar
-form: identity skips for empty subtrees, verbatim front *aliasing* when
+On top of the merge, the kernel has structural fast paths the
+reference deliberately lacks: identity skips for empty subtrees, verbatim front *aliasing* when
 one operand is provably placement-free (the ``alias_p`` sentinel,
 including its underflow guard), shifted singleton copies as pure vector
 adds, and AHU subtree memoization whose alias tables share the
@@ -97,7 +98,7 @@ too: one growable log of ``(kind, a, b, node, mode)`` entries plus a
 side table of memo isomorphisms; placements are reconstructed by walking
 log indices.  The returned :class:`FrontierPoint`\\ s hold ``(log, id)``
 pairs and reconstruct lazily on :meth:`FrontierPoint.placement` — the
-same deferral the row kernel gets from its label back-chains, so a
+same deferral the reference gets from its label back-chains, so a
 frontier consumer that only reads ``(cost, power)`` columns never pays
 for placement walks.
 """
@@ -125,7 +126,6 @@ from repro.power.dp_power_pareto import (
     _GP,
     FrontierPoint,
     PowerFrontier,
-    _subtree_iso,
     pareto_min_sweep,
 )
 from repro.power.modes import PowerModel
@@ -154,7 +154,7 @@ _RECORD_FILTER_MIN = 64
 #: convention — merges build new columns or share existing ones verbatim.
 _Front = tuple["NDArray[np.float64]", "NDArray[np.float64]", "NDArray[np.int64]"]
 
-#: Provenance entry kinds (mirrors the row kernel's back tags).
+#: Provenance entry kinds (the reference's back tags, plus memo aliases).
 _K_BASE = 0  #: the shared empty label (no placements)
 _K_MERGE = 1  #: "m": combine labels a and b
 _K_PLACE = 2  #: "x": combine a and b, placing a replica on node at mode
@@ -167,6 +167,34 @@ for _arr in (_BASE_G, _BASE_P, _BASE_PROV):
     _arr.setflags(write=False)
 #: The shared base front: prov id 0 is every log's base entry.
 _BASE_FRONT: _Front = (_BASE_G, _BASE_P, _BASE_PROV)
+
+
+def _subtree_iso(
+    tree: Tree, codes: Sequence[int], rep: int, dst: int
+) -> dict[int, int]:
+    """Isomorphism (node map) between two equal-code subtrees.
+
+    Children with equal labelled codes root isomorphic annotated
+    subtrees, so pairing the two child lists sorted by code yields a
+    load- and pre-mode-preserving bijection regardless of how ties are
+    ordered.
+    """
+    mapping: dict[int, int] = {}
+    stack = [(rep, dst)]
+    get = codes.__getitem__
+    while stack:
+        a, b = stack.pop()
+        mapping[a] = b
+        ka = tree.children(a)
+        if ka:
+            kb = tree.children(b)
+            if len(ka) == 1:
+                stack.append((ka[0], kb[0]))
+            else:
+                stack.extend(
+                    zip(sorted(ka, key=get), sorted(kb, key=get), strict=True)
+                )
+    return mapping
 
 
 class _ProvLog:
@@ -234,7 +262,7 @@ class _ProvLog:
         """Reconstruct ``{node: mode}`` by walking the log (root excluded).
 
         Memo aliases are resolved by composing the accumulated subtree
-        isomorphisms innermost-first, exactly as the row kernel does.
+        isomorphisms innermost-first.
         """
         kind, a, b = self.kind, self.a, self.b
         node, mode, isos = self.node, self.mode, self.isos
@@ -263,7 +291,7 @@ class _LazyPoint(FrontierPoint):
     """A frontier point whose placement walk is deferred.
 
     Holds the solve's provenance log and this point's entry id; the walk
-    runs only when :meth:`placement` is called (mirrors the row kernel's
+    runs only when :meth:`placement` is called (like the reference's
     lazy back-chain points).
     """
 
@@ -705,8 +733,11 @@ def power_frontier_array(
         for old in set(pre.values())
     }
 
-    # Same underflow guard as the row kernel: aliasing is sound only
-    # while every mode power is strictly positive.
+    # The alias fast paths rest on "p == 0.0 implies no placements",
+    # which is only sound while every mode power is strictly positive:
+    # extreme alpha/capacity_scale combinations can underflow
+    # ``(W/s)^alpha`` to exactly 0.0 with zero static power.  Then the
+    # sentinel is unmatchable (-1.0: label powers are never negative).
     alias_p = 0.0 if all(mp > 0.0 for mp in mode_power) else -1.0
 
     codes: Sequence[int] = ()
@@ -1266,7 +1297,7 @@ def power_frontier_array(
     delete_constant = sum(cost_model.delete[old] for old in pre.values())
     root_dg = reuse_dg[pre[root]] if root in pre else create_dg
 
-    # Root sweep: mirror the row kernel's expression tree — vectorised
+    # Root sweep: mirror the reference's expression tree — vectorised
     # ``(g + dg) + delete_constant`` sums, then Python's correctly-rounded
     # round per element (np.round can differ in the last ulp), then the
     # shared pareto_min_sweep tie-break.  Candidates that another one

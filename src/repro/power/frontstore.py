@@ -59,7 +59,7 @@ Four design points make this sound and cheap:
   Eviction is *only* a memory policy: correctness never depends on what
   is retained, because lookups are content-keyed.
 
-The store holds the array kernel's columnar fronts; the row-tuple
+The store holds the array kernel's columnar fronts; the plain
 reference kernel only solves cold.  Served frontiers are byte-identical
 to cold solves: aliased fronts carry exactly the representative's
 ``(g, p)`` values in canonical order, and every per-bucket dominance
@@ -97,7 +97,7 @@ def cross_tree_iso(
     store guarantees this), so equal codes identify isomorphic annotated
     subtrees across trees; pairing child lists sorted by code yields a
     load- and pre-mode-preserving bijection exactly as the within-solve
-    :func:`repro.power.dp_power_pareto._subtree_iso` does.
+    :func:`repro.power.dp_power_array._subtree_iso` does.
 
     ``prefix > 0`` maps a child-prefix accumulator instead: only the
     first ``prefix`` children of ``src`` and ``dst`` are paired, position

@@ -36,7 +36,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.core.costs import ModalCostModel
 from repro.exceptions import ConfigurationError
-from repro.power.dp_power_pareto import min_power
+from repro.power.kernels import min_power
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.model import Client, Tree
 

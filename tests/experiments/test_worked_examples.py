@@ -8,7 +8,7 @@ from repro.core.costs import UniformCostModel
 from repro.core.dp_withpre import replica_update
 from repro.core.solution import server_loads
 from repro.experiments.worked_examples import figure1_example, figure2_example
-from repro.power.dp_power_pareto import min_power
+from repro.power.kernels import min_power
 
 COST = UniformCostModel(0.1, 0.01)
 

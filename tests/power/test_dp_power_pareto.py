@@ -1,4 +1,7 @@
-"""Tests for :mod:`repro.power.dp_power_pareto` (the production engine)."""
+"""Tests for the MinPower DP: the plain reference kernel
+(:func:`repro.power.dp_power_pareto.power_frontier`) and the
+MinPower(-BoundedCost) entry points of :mod:`repro.power.kernels`, which
+run the production engine."""
 
 from __future__ import annotations
 
@@ -6,11 +9,8 @@ import pytest
 
 from repro.core.costs import ModalCostModel
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.power.dp_power_pareto import (
-    min_power,
-    min_power_bounded_cost,
-    power_frontier,
-)
+from repro.power.dp_power_pareto import power_frontier
+from repro.power.kernels import min_power, min_power_bounded_cost
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.model import Client, Tree
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.costs import ModalCostModel
-from repro.power.dp_power_pareto import min_power
+from repro.power.kernels import min_power
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.model import Client, Tree
 

@@ -1,12 +1,11 @@
-"""Equivalence suite pinning the Pareto kernels (PR 5 / PR 7).
+"""Equivalence suite pinning the Pareto kernels.
 
-Two production kernels solve the same DP — the row-tuple oracle
-(``power_frontier``) and the structure-of-arrays rebuild
-(``power_frontier_array``) — and both must be *observationally
+The production engine (``power_frontier_array``) and the plain reference
+DP (``power_frontier``) solve the same DP and must be *observationally
 identical*: same (cost, power) frontier as the paper-faithful
 count-vector DP on arbitrary instances, byte-identical across kernels
-and with/without AHU subtree memoization, reconstructable placements
-that survive the ``from_records(verify=True)`` re-pricing path (the
+and with/without the array kernel's AHU subtree memo, reconstructable
+placements that survive the ``from_records(verify=True)`` re-pricing path (the
 PR-4 cache contract), and bisect-based bound queries that agree with
 the linear scans they replaced.  Witness placements may differ between
 kernels at equal-optimum ties; every witness must still re-price
@@ -38,19 +37,18 @@ CM3 = ModalCostModel.uniform(3, create=0.2, delete=0.05, changed=0.01)
 
 
 def both_kernels(tree, pm, cm, pre):
-    """Frontier across both kernels, memoization on and off.
+    """Frontier of the reference and of the array kernel, its memo on
+    and off.
 
-    All four solves must agree byte-for-byte on the (cost, power)
-    frontier; returns the memoized tuple-kernel frontier.
+    All three solves must agree byte-for-byte on the (cost, power)
+    frontier; returns the reference frontier.
     """
-    with_memo = power_frontier(tree, pm, cm, pre, memoize=True)
-    without = power_frontier(tree, pm, cm, pre, memoize=False)
-    assert with_memo.pairs() == without.pairs()
+    reference = power_frontier(tree, pm, cm, pre)
     arr_memo = power_frontier_array(tree, pm, cm, pre, memoize=True)
     arr_plain = power_frontier_array(tree, pm, cm, pre, memoize=False)
-    assert arr_memo.pairs() == with_memo.pairs()
-    assert arr_plain.pairs() == with_memo.pairs()
-    return with_memo
+    assert arr_memo.pairs() == reference.pairs()
+    assert arr_plain.pairs() == reference.pairs()
+    return reference
 
 
 def assert_roundtrip(frontier, tree, pm, cm, pre):
@@ -135,10 +133,11 @@ class TestDegenerateInstances:
 
     def test_load_above_w_max_infeasible_same_error(self):
         t = Tree([None, 0], [Client(1, 11)])
-        for kernel in (power_frontier, power_frontier_array):
-            for memoize in (True, False):
-                with pytest.raises(InfeasibleError):
-                    kernel(t, PM, CM, memoize=memoize)
+        with pytest.raises(InfeasibleError):
+            power_frontier(t, PM, CM)
+        for memoize in (True, False):
+            with pytest.raises(InfeasibleError):
+                power_frontier_array(t, PM, CM, memoize=memoize)
 
     def test_every_node_saturated(self):
         # Every node carries exactly w_max of direct load: feasible only
@@ -160,6 +159,8 @@ class TestDegenerateInstances:
 
 
 class TestMemoization:
+    """The array kernel's AHU subtree memo."""
+
     def _star_of_stars(self):
         # Root with 4 identical 4-leaf stars: maximal repeated structure.
         parents: list[int | None] = [None]
@@ -176,7 +177,7 @@ class TestMemoization:
     def test_identical_subtrees_share_tables(self):
         t = self._star_of_stars()
         stats = ParetoDPStats()
-        frontier = power_frontier(t, PM, CM, stats=stats)
+        frontier = power_frontier_array(t, PM, CM, stats=stats)
         assert stats.memo_hits >= 3  # hubs 2..4 answered from hub 1's table
         assert stats.memo_labels_shared > 0
         assert frontier.pairs() == power_frontier_counts(t, PM, CM)
@@ -189,8 +190,8 @@ class TestMemoization:
         t = self._star_of_stars()
         pre = {2: 1}  # a leaf of the first hub
         stats = ParetoDPStats()
-        frontier = power_frontier(t, PM, CM, pre, stats=stats)
-        plain = power_frontier(t, PM, CM, pre, memoize=False)
+        frontier = power_frontier_array(t, PM, CM, pre, stats=stats)
+        plain = power_frontier_array(t, PM, CM, pre, memoize=False)
         assert frontier.pairs() == plain.pairs()
         assert frontier.pairs() == power_frontier_counts(t, PM, CM, pre)
         assert_roundtrip(frontier, t, PM, CM, pre)
@@ -203,8 +204,8 @@ class TestMemoization:
         t1 = Tree(parents, [Client(3, 4), Client(4, 4)])
         t2 = Tree(parents, [Client(3, 4), Client(4, 2), Client(4, 2)])
         s2 = ParetoDPStats()
-        f2 = power_frontier(t2, PM, CM, stats=s2)
-        f1 = power_frontier(t1, PM, CM)
+        f2 = power_frontier_array(t2, PM, CM, stats=s2)
+        f1 = power_frontier_array(t1, PM, CM)
         assert f1.pairs() == f2.pairs()
         assert s2.memo_hits >= 1  # hub 2 shares hub 1's table
 
@@ -222,9 +223,9 @@ class TestMemoization:
             clients.append(Client(leaf, (k % 5) + 1))
         t = Tree(parents, clients)
         stats = ParetoDPStats()
-        frontier = power_frontier(t, PM, CM, stats=stats)
+        frontier = power_frontier_array(t, PM, CM, stats=stats)
         assert stats.memo_hits == 0
-        assert frontier.pairs() == power_frontier(
+        assert frontier.pairs() == power_frontier_array(
             t, PM, CM, memoize=False
         ).pairs()
 
@@ -353,7 +354,7 @@ class TestStatsCoherence:
             [Client(v, (v % 4) + 1) for v in range(7)],
         )
         stats = ParetoDPStats()
-        power_frontier(t, PM, CM, {3: 1}, stats=stats)
+        power_frontier_array(t, PM, CM, {3: 1}, stats=stats)
         assert stats.labels_created >= stats.labels_generated
         assert stats.merge_rejected >= 0
         assert stats.labels_generated >= stats.merge_rejected
@@ -364,37 +365,12 @@ class TestStatsCoherence:
     def test_absorb_aggregates(self):
         t = Tree([None, 0], [Client(1, 3)])
         a = ParetoDPStats()
-        power_frontier(t, PM, CM, stats=a)
+        power_frontier_array(t, PM, CM, stats=a)
         total = ParetoDPStats()
         total.absorb(a.as_dict()).absorb(a.as_dict())
         assert total.labels_created == 2 * a.labels_created
         assert total.merges == 2 * a.merges
         assert total.max_flow_keys == a.max_flow_keys
-
-    def test_cross_kernel_mirror(self):
-        # The array kernel is a *re-expression* of the tuple kernel, not
-        # an approximation: the dominance-structure counters (merges,
-        # created/kept labels, memo behaviour) must mirror exactly.
-        # labels_generated / merge_rejected legitimately differ — the
-        # array kernel's certain-reject prefilter changes how many
-        # candidates are materialised, never which ones survive.
-        t = Tree(
-            [None, 0, 0, 1, 1, 2, 2],
-            [Client(v, (v % 4) + 1) for v in range(7)],
-        )
-        st_t, st_a = ParetoDPStats(), ParetoDPStats()
-        ft = power_frontier(t, PM, CM, {3: 1}, stats=st_t)
-        fa = power_frontier_array(t, PM, CM, {3: 1}, stats=st_a)
-        assert ft.pairs() == fa.pairs()
-        for field in (
-            "merges",
-            "labels_created",
-            "labels_kept",
-            "memo_hits",
-            "memo_misses",
-            "memo_labels_shared",
-        ):
-            assert getattr(st_t, field) == getattr(st_a, field), field
 
 
 class TestArrayKernelContract:
@@ -512,22 +488,6 @@ def fan_trees(draw):
     return Tree(parents, clients)
 
 
-def _mirrored_stats(stats: ParetoDPStats) -> dict[str, int]:
-    return {
-        field: getattr(stats, field)
-        for field in (
-            "merges",
-            "labels_created",
-            "labels_kept",
-            "memo_hits",
-            "memo_misses",
-            "memo_labels_shared",
-            "max_front_size",
-            "max_flow_keys",
-        )
-    }
-
-
 def _assert_fold_equals_per_child_fold(tree, pm, cm, pre):
     """Solve with and without leaf-run folds; everything must agree.
 
@@ -558,8 +518,8 @@ def _assert_fold_equals_per_child_fold(tree, pm, cm, pre):
 
 class TestLeafRunFold:
     """The array kernel folds each node's leading childless children on
-    lists: pairs and mirrored counters must equal the tuple kernel's, and
-    pairs, witnesses and every counter the per-child fold's."""
+    lists: pairs must equal the reference's, and pairs, witnesses and
+    every counter the per-child fold's."""
 
     PRICES = {
         "default": CM,
@@ -570,17 +530,15 @@ class TestLeafRunFold:
     }
 
     def _check(self, tree, pm, cm, pre):
-        st_t, st_a, st_p = ParetoDPStats(), ParetoDPStats(), ParetoDPStats()
         try:
-            ft = power_frontier(tree, pm, cm, pre, stats=st_t)
+            ft = power_frontier(tree, pm, cm, pre)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 power_frontier_array(tree, pm, cm, pre)
             return
-        fa = power_frontier_array(tree, pm, cm, pre, stats=st_a)
-        fp = power_frontier_array(tree, pm, cm, pre, stats=st_p, memoize=False)
+        fa = power_frontier_array(tree, pm, cm, pre)
+        fp = power_frontier_array(tree, pm, cm, pre, memoize=False)
         assert fa.pairs() == ft.pairs() == fp.pairs()
-        assert _mirrored_stats(st_a) == _mirrored_stats(st_t)
         assert_roundtrip(fa, tree, pm, cm, pre)
 
     @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.costs import ModalCostModel
 from repro.exceptions import ConfigurationError
-from repro.power.dp_power_pareto import min_power
+from repro.power.kernels import min_power
 from repro.power.npcomplete import (
     build_reduction,
     partition_from_placement,

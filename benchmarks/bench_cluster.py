@@ -56,7 +56,7 @@ def _run_cluster(storm, n_workers: int):
         router = ClusterRouter(
             SubprocessSpawner(),
             n_workers,
-            WorkerConfig(max_delay=0.002),
+            WorkerConfig(),
             fallbacks=1,
         )
         async with router:

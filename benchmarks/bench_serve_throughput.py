@@ -49,7 +49,7 @@ def _serve_storm(storm):
     """All requests concurrently against a fresh server; returns stats."""
 
     async def run():
-        async with BatchServer(max_delay=0.002) as server:
+        async with BatchServer() as server:
             results = await asyncio.gather(
                 *(server.submit(i, solver="dp") for i in storm)
             )

@@ -154,7 +154,7 @@ class ClusterRouter(JsonLinesEndpoint):
     n_workers:
         Fleet size; workers are named ``w0`` .. ``w{n-1}``.
     config:
-        Per-worker shape (``max_pending``, micro-batch knobs, cache
+        Per-worker shape (``max_pending``, ``max_batch``, cache
         layout); one config for the whole homogeneous fleet.
     fallbacks:
         Extra ring owners tried after the primary sheds or dies.  The

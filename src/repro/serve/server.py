@@ -419,11 +419,9 @@ class BatchServer(JsonLinesEndpoint):
         :class:`~repro.batch.executor.SupervisedPool` warm across
         micro-batches.
     max_batch:
-        Upper bound on instances per micro-batch.
-    max_delay:
-        Seconds the drain task lingers after picking up a job to let a
-        burst accumulate into one micro-batch.  ``0`` disables the
-        linger; immediately-available jobs are still batched together.
+        Upper bound on instances per micro-batch.  The drain task never
+        waits for a batch to fill: it takes every job already queued,
+        and jobs that arrive while a batch solves form the next one.
     max_pending:
         Admission bound on *pending canonical solves* (scheduled but not
         yet completed — the drain queue plus the micro-batch in flight).
@@ -463,7 +461,6 @@ class BatchServer(JsonLinesEndpoint):
         cache: ResultCache | None = None,
         workers: int = 1,
         max_batch: int = 32,
-        max_delay: float = 0.002,
         max_pending: int | None = None,
         solve_timeout: float | None = None,
     ) -> None:
@@ -471,8 +468,6 @@ class BatchServer(JsonLinesEndpoint):
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ConfigurationError(f"max_delay must be >= 0, got {max_delay}")
         if max_pending is not None and max_pending < 1:
             raise ConfigurationError(
                 f"max_pending must be >= 1, got {max_pending}"
@@ -486,7 +481,6 @@ class BatchServer(JsonLinesEndpoint):
         self.stats = ServeStats()
         self._workers = workers
         self._max_batch = max_batch
-        self._max_delay = max_delay
         self._max_pending = max_pending
         self._solve_timeout = solve_timeout
         self._quarantine = QuarantineRegistry()
@@ -670,20 +664,19 @@ class BatchServer(JsonLinesEndpoint):
     # ------------------------------------------------------------------
     # drain loop (micro-batching through solve_batch)
     # ------------------------------------------------------------------
-    def _scoop(self, jobs: list[_Job]) -> bool:
-        """Move immediately-available jobs into ``jobs``; True on sentinel."""
+    def _scoop(self, jobs: list[_Job]) -> None:
+        """Move immediately-available jobs into ``jobs``."""
         while len(jobs) < self._max_batch:
             try:
                 priority, seq, job = self._queue.get_nowait()
             except asyncio.QueueEmpty:
-                return False
+                return
             if job is None:
                 # Keep the shutdown sentinel last: re-queue it and finish
                 # the batch in hand first.
                 self._queue.put_nowait((priority, seq, None))
-                return True
+                return
             jobs.append(job)
-        return False
 
     async def _drain_loop(self) -> None:
         while True:
@@ -691,14 +684,7 @@ class BatchServer(JsonLinesEndpoint):
             if job is None:
                 break
             jobs = [job]
-            saw_sentinel = self._scoop(jobs)
-            if (
-                not saw_sentinel
-                and self._max_delay > 0
-                and len(jobs) < self._max_batch
-            ):
-                await asyncio.sleep(self._max_delay)
-                self._scoop(jobs)
+            self._scoop(jobs)
             await self._run_jobs(jobs)
 
     def _absorb_kernel_stats(

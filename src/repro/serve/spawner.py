@@ -81,8 +81,6 @@ class WorkerConfig:
     max_pending: int | None = None
     #: Micro-batch size bound.
     max_batch: int = 32
-    #: Micro-batch linger seconds.
-    max_delay: float = 0.002
     #: Per-worker process-pool size (``1`` solves on the drain thread).
     pool_workers: int = 1
     #: In-memory cache capacity per worker.
@@ -118,10 +116,6 @@ class WorkerConfig:
             help="instances per micro-batch drained through solve_batch",
         )
         parser.add_argument(
-            "--max-delay-ms", type=float, default=2.0,
-            help="linger (ms) letting a burst accumulate into one micro-batch",
-        )
-        parser.add_argument(
             "--cache-dir", type=str, default=None,
             help="directory for the persistent result store (sharded JSONL); "
             "a cluster worker owns the subdirectory <cache-dir>/<worker-name>",
@@ -147,7 +141,6 @@ class WorkerConfig:
         return cls(
             max_pending=args.max_pending or None,
             max_batch=args.max_batch,
-            max_delay=args.max_delay_ms / 1000.0,
             pool_workers=args.workers,
             lru_size=args.lru_size,
             max_disk_entries=args.disk_size,
@@ -160,7 +153,6 @@ class WorkerConfig:
         flags = {
             "--workers": self.pool_workers,
             "--max-batch": self.max_batch,
-            "--max-delay-ms": self.max_delay * 1000.0,
             "--cache-dir": self.worker_cache_dir(name),
             "--lru-size": self.lru_size,
             "--disk-size": self.max_disk_entries,
@@ -186,7 +178,6 @@ class WorkerConfig:
             cache=cache,
             workers=self.pool_workers,
             max_batch=self.max_batch,
-            max_delay=self.max_delay,
             max_pending=self.max_pending,
             solve_timeout=self.solve_timeout,
         )

@@ -93,7 +93,6 @@ class TestClusterChaosStorm:
                 InProcessSpawner(),
                 3,
                 WorkerConfig(
-                    max_delay=0.001,
                     pool_workers=2,
                     solve_timeout=SOLVE_TIMEOUT,
                 ),
@@ -200,7 +199,7 @@ class TestClientRetryPolicy:
         monkeypatch.setenv("REPRO_FAULTS", f"drop_connection={digest}:1")
 
         async def run():
-            async with BatchServer(max_delay=0.001) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 client = await ServeClient.connect(
                     host, port, retries=2, backoff=0.01
@@ -230,9 +229,7 @@ class TestClientRetryPolicy:
         monkeypatch.setenv("REPRO_FAULTS", f"hang_seconds={digest}:30")
 
         async def run():
-            async with BatchServer(
-                max_delay=0.001, solve_timeout=SOLVE_TIMEOUT
-            ) as server:
+            async with BatchServer(solve_timeout=SOLVE_TIMEOUT) as server:
                 host, port = await server.listen()
                 client = await ServeClient.connect(
                     host, port, retries=2, backoff=0.01
@@ -254,7 +251,7 @@ class TestClientRetryPolicy:
         infeasible = BatchInstance(Tree([None, 0], [(1, 50)]), 10)
 
         async def run():
-            async with BatchServer(max_delay=0.001) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 client = await ServeClient.connect(
                     host, port, retries=5, backoff=0.01
@@ -273,7 +270,7 @@ class TestClientRetryPolicy:
 
     def test_retry_configuration_is_validated(self):
         async def run():
-            async with BatchServer(max_delay=0.001) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 from repro.exceptions import ConfigurationError
 
@@ -295,9 +292,7 @@ class TestServerSoloChaos:
         monkeypatch.setenv("REPRO_FAULTS", f"hang_seconds={digest}:30")
 
         async def run():
-            async with BatchServer(
-                max_delay=0.001, solve_timeout=SOLVE_TIMEOUT
-            ) as server:
+            async with BatchServer(solve_timeout=SOLVE_TIMEOUT) as server:
                 host, port = await server.listen()
                 client = await ServeClient.connect(host, port)
                 try:

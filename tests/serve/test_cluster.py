@@ -132,7 +132,7 @@ class TestClusterStorm:
         async def run():
             spawner = InProcessSpawner()
             router = ClusterRouter(
-                spawner, 3, WorkerConfig(max_delay=0.001), fallbacks=1
+                spawner, 3, WorkerConfig(), fallbacks=1
             )
             async with router:
                 host, port = await router.listen()
@@ -177,7 +177,7 @@ class TestClusterStorm:
 
         async def run():
             spawner = InProcessSpawner()
-            router = ClusterRouter(spawner, 3, WorkerConfig(max_delay=0.001))
+            router = ClusterRouter(spawner, 3, WorkerConfig())
             async with router:
                 messages = [
                     _solve_message("dp", inst, i)
@@ -208,7 +208,7 @@ class TestClusterStorm:
         async def run():
             spawner = InProcessSpawner()
             router = ClusterRouter(
-                spawner, 3, WorkerConfig(max_delay=0.001), fallbacks=1
+                spawner, 3, WorkerConfig(), fallbacks=1
             )
             async with router:
                 instance, digest = _instance_for_owner(router, "w2", "slow_dp")
@@ -240,7 +240,7 @@ class TestClusterStorm:
 
         async def run():
             spawner = InProcessSpawner()
-            router = ClusterRouter(spawner, 2, WorkerConfig(max_delay=0.001))
+            router = ClusterRouter(spawner, 2, WorkerConfig())
             async with router:
                 await router.start()
                 await router._handles["w0"].kill()
@@ -280,7 +280,7 @@ class TestClusterBackpressure:
             router = ClusterRouter(
                 spawner,
                 3,
-                WorkerConfig(max_pending=1, max_delay=0),
+                WorkerConfig(max_pending=1),
                 fallbacks=1,
             )
             async with router:
@@ -326,7 +326,7 @@ class TestClusterBackpressure:
             router = ClusterRouter(
                 spawner,
                 2,
-                WorkerConfig(max_pending=1, max_delay=0),
+                WorkerConfig(max_pending=1),
                 fallbacks=0,
             )
             async with router:
@@ -365,7 +365,7 @@ class TestClusterSessions:
 
         async def run():
             spawner = InProcessSpawner()
-            router = ClusterRouter(spawner, 3, WorkerConfig(max_delay=0.001))
+            router = ClusterRouter(spawner, 3, WorkerConfig())
             async with router:
                 host, port = await router.listen()
                 client = await ServeClient.connect(host, port)
@@ -392,7 +392,7 @@ class TestClusterSessions:
 
         async def run():
             spawner = InProcessSpawner()
-            router = ClusterRouter(spawner, 3, WorkerConfig(max_delay=0.001))
+            router = ClusterRouter(spawner, 3, WorkerConfig())
             async with router:
                 host, port = await router.listen()
                 client = await ServeClient.connect(host, port)
@@ -417,7 +417,7 @@ class TestClusterSessions:
 
         async def run():
             spawner = InProcessSpawner()
-            router = ClusterRouter(spawner, 2, WorkerConfig(max_delay=0.001))
+            router = ClusterRouter(spawner, 2, WorkerConfig())
             async with router:
                 host, port = await router.listen()
                 client = await ServeClient.connect(host, port)
@@ -441,7 +441,7 @@ class TestClusterOps:
 
         async def run():
             spawner = InProcessSpawner()
-            router = ClusterRouter(spawner, 2, WorkerConfig(max_delay=0.001))
+            router = ClusterRouter(spawner, 2, WorkerConfig())
             async with router:
                 host, port = await router.listen()
                 client = await ServeClient.connect(host, port)
@@ -470,7 +470,7 @@ class TestClusterOps:
     def test_shutdown_op_stops_cluster(self):
         async def run():
             spawner = InProcessSpawner()
-            router = ClusterRouter(spawner, 2, WorkerConfig(max_delay=0.001))
+            router = ClusterRouter(spawner, 2, WorkerConfig())
             async with router:
                 host, port = await router.listen()
                 client = await ServeClient.connect(host, port)
@@ -508,7 +508,7 @@ class TestClusterStart:
         spawner = _SecondSpawnFails()
 
         async def run():
-            router = ClusterRouter(spawner, 3, WorkerConfig(max_delay=0.001))
+            router = ClusterRouter(spawner, 3, WorkerConfig())
             with pytest.raises(OSError, match="exec failed"):
                 async with router:
                     pass  # pragma: no cover - start raises first

@@ -62,12 +62,12 @@ def _malformed() -> dict[str, dict]:
 
 def _answers(messages: dict[str, dict]) -> tuple[dict, dict]:
     async def run():
-        async with BatchServer(max_delay=0.001) as server:
+        async with BatchServer() as server:
             single = {
                 name: await server.dispatch(dict(msg, id=i))
                 for i, (name, msg) in enumerate(sorted(messages.items()))
             }
-        router = ClusterRouter(InProcessSpawner(), 3, WorkerConfig(max_delay=0.001))
+        router = ClusterRouter(InProcessSpawner(), 3, WorkerConfig())
         async with router:
             routed = {
                 name: await router.dispatch(dict(msg, id=i))

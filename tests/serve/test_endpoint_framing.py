@@ -27,13 +27,13 @@ Endpoint = Callable[[], contextlib.AbstractAsyncContextManager[tuple[str, int]]]
 
 @contextlib.asynccontextmanager
 async def _batch_server() -> AsyncIterator[tuple[str, int]]:
-    async with BatchServer(max_delay=0.0) as server:
+    async with BatchServer() as server:
         yield await server.listen()
 
 
 @contextlib.asynccontextmanager
 async def _cluster_router() -> AsyncIterator[tuple[str, int]]:
-    router = ClusterRouter(InProcessSpawner(), 2, WorkerConfig(max_delay=0.0))
+    router = ClusterRouter(InProcessSpawner(), 2, WorkerConfig())
     async with router:
         yield await router.listen()
 

@@ -66,7 +66,7 @@ class TestAdmissionBound:
 
     def test_shed_at_capacity_counts_overloads_not_errors(self):
         async def run():
-            async with BatchServer(max_pending=2, max_delay=0) as server:
+            async with BatchServer(max_pending=2) as server:
                 tasks = await _fill(server, 2)
                 with pytest.raises(ServerOverloadedError, match="max_pending=2"):
                     await server.submit(_instance(seed=7), solver="slow_dp")
@@ -82,7 +82,7 @@ class TestAdmissionBound:
 
     def test_capacity_recovers_after_drain(self):
         async def run():
-            async with BatchServer(max_pending=1, max_delay=0) as server:
+            async with BatchServer(max_pending=1) as server:
                 tasks = await _fill(server, 1)
                 with pytest.raises(ServerOverloadedError):
                     await server.submit(_instance(seed=8), solver="slow_dp")
@@ -100,7 +100,7 @@ class TestAdmissionBound:
         hot = _instance(seed=9)
 
         async def run():
-            async with BatchServer(max_pending=1, max_delay=0) as server:
+            async with BatchServer(max_pending=1) as server:
                 # Warm the cache below the bound.
                 await server.submit(hot, solver="dp")
                 tasks = await _fill(server, 1)
@@ -124,7 +124,7 @@ class TestAdmissionBound:
         client-side as the retriable :class:`ServeOverloadedError`."""
 
         async def run():
-            async with BatchServer(max_pending=1, max_delay=0) as server:
+            async with BatchServer(max_pending=1) as server:
                 host, port = await server.listen()
                 tasks = await _fill(server, 1)
                 client = await ServeClient.connect(host, port)
@@ -146,7 +146,7 @@ class TestAdmissionBound:
         closed error — instead of waiting on a solve that will never run."""
 
         async def run():
-            server = BatchServer(max_pending=1, max_delay=0)
+            server = BatchServer(max_pending=1)
             await server.start()
             tasks = await _fill(server, 1)
 
@@ -169,7 +169,7 @@ class TestAdmissionBound:
 class TestOverloadStatsPayload:
     def test_overloads_in_stats_dict(self):
         async def run():
-            async with BatchServer(max_pending=1, max_delay=0) as server:
+            async with BatchServer(max_pending=1) as server:
                 tasks = await _fill(server, 1)
                 with pytest.raises(ServerOverloadedError):
                     await server.submit(_instance(seed=41), solver="slow_dp")

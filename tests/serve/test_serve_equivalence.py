@@ -72,7 +72,7 @@ def test_server_responses_byte_match_direct_solve(
     direct = solve_batch(instances, solver=solver)
 
     async def run():
-        async with BatchServer(max_delay=0.002) as server:
+        async with BatchServer() as server:
             results = await asyncio.gather(
                 *(server.submit(i, solver=solver) for i in instances)
             )
@@ -104,7 +104,7 @@ def test_coalescing_preserves_verified_placements(seed, n_nodes):
     instances = _random_instances(seed, n_nodes, 3)
 
     async def run():
-        async with BatchServer(max_delay=0.002) as server:
+        async with BatchServer() as server:
             return await asyncio.gather(
                 *(server.submit(i, solver="dp") for i in instances)
             )
@@ -129,7 +129,7 @@ def test_coalescing_preserves_frontiers(seed, n_nodes):
     instances = _random_instances(seed, n_nodes, 2)
 
     async def run():
-        async with BatchServer(max_delay=0.002) as server:
+        async with BatchServer() as server:
             return await asyncio.gather(
                 *(server.submit(i, solver="power_frontier") for i in instances)
             )

@@ -91,7 +91,7 @@ class TestCoalescing:
         expected = _wire("dp", solve_batch([instance], solver="dp")[0])
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 c1 = await ServeClient.connect(host, port)
                 c2 = await ServeClient.connect(host, port)
@@ -133,7 +133,7 @@ class TestCoalescing:
         direct = solve_batch(batch, solver="dp")
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 results = await asyncio.gather(
                     *(server.submit(i, solver="dp") for i in batch)
                 )
@@ -167,7 +167,7 @@ class TestCoalescing:
             monkeypatch.setattr(policy, name, counted)
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 results = await asyncio.gather(
                     *(server.submit(i, solver="dp") for i in batch)
                 )
@@ -185,7 +185,7 @@ class TestCoalescing:
         distinct = [_instance(seed=s, n_nodes=30) for s in (21, 22, 23)]
 
         async def run():
-            async with BatchServer(max_delay=0) as server:
+            async with BatchServer() as server:
                 for instance in [*distinct, distinct[1]]:
                     await server.submit(instance, solver="dp")
                 return server
@@ -199,7 +199,7 @@ class TestCoalescing:
         instance = _instance(seed=5, n_nodes=20)
 
         async def run():
-            async with BatchServer(max_delay=0) as server:
+            async with BatchServer() as server:
                 low = server.submit(instance, solver="dp", priority=5)
                 high = server.submit(instance, solver="dp", priority=-5)
                 return await asyncio.gather(low, high)
@@ -215,7 +215,7 @@ class TestMixedPolicies:
         direct = {s: solve_batch([instance], solver=s)[0] for s in solvers}
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 results = await asyncio.gather(
                     *(
                         server.submit(instance, solver=s)
@@ -254,13 +254,19 @@ class TestMixedPolicies:
         expected = _wire("dp", solve_batch([good], solver="dp")[0])
 
         async def run():
-            # A generous linger guarantees both jobs land in one batch.
-            async with BatchServer(max_delay=0.05) as server:
+            # Jobs that arrive while a batch solves form the next batch:
+            # with a slow solve in flight, both jobs land in one batch.
+            async with BatchServer() as server:
+                slow = asyncio.create_task(
+                    server.submit(_instance(seed=31, n_nodes=20), solver="slow_dp")
+                )
+                await asyncio.sleep(0.05)
                 outcomes = await asyncio.gather(
                     server.submit(good, solver="dp"),
                     server.submit(bad, solver="dp"),
                     return_exceptions=True,
                 )
+                await slow
                 return outcomes, server
 
         outcomes, server = asyncio.run(run())
@@ -268,6 +274,8 @@ class TestMixedPolicies:
         assert isinstance(outcomes[1], InfeasibleError)
         stats = server.stats.policy("dp")
         assert stats.errors == 1
+        # One batch for the slow job, one for both dp jobs.
+        assert (server.stats.batches, server.stats.batch_instances) == (2, 3)
 
     def test_crashed_worker_pool_is_rebuilt(self):
         """A dead pool worker fails its own request but must not poison
@@ -279,7 +287,7 @@ class TestMixedPolicies:
         instance = _instance(seed=43, n_nodes=20)
 
         async def run():
-            async with BatchServer(max_delay=0, workers=2) as server:
+            async with BatchServer(workers=2) as server:
                 with pytest.raises(QuarantinedError):
                     await server.submit(instance, solver="crash_dp")
                 # The poison digest now fails fast for its TTL, without
@@ -301,7 +309,7 @@ class TestMixedPolicies:
         good = _instance(seed=17, n_nodes=20, power=False)
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 async with await ServeClient.connect(host, port) as client:
                     outcomes = await asyncio.gather(
@@ -325,7 +333,7 @@ class TestCancellationAndDisconnect:
         expected = _wire("dp", solve_batch([instance], solver="dp")[0])
 
         async def run():
-            async with BatchServer(max_delay=0) as server:
+            async with BatchServer() as server:
                 first = asyncio.create_task(
                     server.submit(instance, solver="slow_dp")
                 )
@@ -354,7 +362,7 @@ class TestCancellationAndDisconnect:
         instance = _instance(seed=41, n_nodes=20)
 
         async def run():
-            async with BatchServer(max_delay=0) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 client = await ServeClient.connect(host, port)
                 pending = asyncio.create_task(
@@ -372,7 +380,7 @@ class TestCancellationAndDisconnect:
         expected = _wire("dp", solve_batch([instance], solver="dp")[0])
 
         async def run():
-            async with BatchServer(max_delay=0) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 # A raw connection that fires one slow request and vanishes.
                 reader, writer = await asyncio.open_connection(host, port)
@@ -406,7 +414,7 @@ class TestShutdown:
         direct = [solve_batch([i], solver="dp")[0] for i in instances]
 
         async def run():
-            server = await BatchServer(max_delay=0).start()
+            server = await BatchServer().start()
             tasks = [
                 asyncio.create_task(server.submit(i, solver="dp"))
                 for i in instances
@@ -429,7 +437,7 @@ class TestShutdown:
         instance = _instance(seed=37, n_nodes=20)
 
         async def run():
-            server = await BatchServer(max_delay=0).start()
+            server = await BatchServer().start()
             host, port = await server.listen()
             async with await ServeClient.connect(host, port) as client:
                 response = await client.solve(instance, solver="dp")
@@ -450,7 +458,7 @@ class TestPerfOp:
         instance = _instance(seed=23, n_nodes=25, power=True)
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 client = await ServeClient.connect(host, port)
                 try:
@@ -476,7 +484,7 @@ class TestPerfOp:
         instance = _instance(seed=29, n_nodes=20)
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 client = await ServeClient.connect(host, port)
                 try:

@@ -69,7 +69,7 @@ class TestSessionIsolation:
         truth_b = _ground_truth(inst_b, batches_b)
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 c1 = await ServeClient.connect(host, port)
                 c2 = await ServeClient.connect(host, port)
@@ -104,7 +104,7 @@ class TestSessionIsolation:
         instance = _instance(3)
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 async with await ServeClient.connect(host, port) as client:
                     s1, s2 = await asyncio.gather(
@@ -125,7 +125,7 @@ class TestSessionLifecycle:
         cycles = 5
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 async with await ServeClient.connect(host, port) as client:
                     per_close = []
@@ -154,7 +154,7 @@ class TestSessionLifecycle:
 
     def test_unknown_session_is_an_error_response(self):
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 async with await ServeClient.connect(host, port) as client:
                     with pytest.raises(ServeError, match="unknown session"):
@@ -176,7 +176,7 @@ class TestSessionLifecycle:
         instance = _instance(5, n_nodes=20)
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 async with await ServeClient.connect(host, port) as client:
                     sess = await client.session(instance)
@@ -201,7 +201,7 @@ class TestSessionLifecycle:
         truth = _ground_truth(instance, [[AddClient(0, 1)]])
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 async with await ServeClient.connect(host, port) as client:
                     sess = await client.session(instance)
@@ -222,7 +222,7 @@ class TestDisconnectCleanup:
         instance = _instance(6, n_nodes=25)
 
         async def run():
-            async with BatchServer(max_delay=0.01) as server:
+            async with BatchServer() as server:
                 host, port = await server.listen()
                 # Connection 1 opens a session, then vanishes abruptly
                 # without session.close.
@@ -263,7 +263,7 @@ class TestDisconnectCleanup:
         instance = _instance(7, n_nodes=20)
 
         async def run():
-            server = await BatchServer(max_delay=0.01).start()
+            server = await BatchServer().start()
             host, port = await server.listen()
             client = await ServeClient.connect(host, port)
             sess = await client.session(instance)

@@ -21,7 +21,6 @@ from repro.serve import SubprocessSpawner, WorkerConfig
 WORKER_FLAGS = {
     "--workers": ("workers", 1),
     "--max-batch": ("max_batch", 32),
-    "--max-delay-ms": ("max_delay_ms", 2.0),
     "--cache-dir": ("cache_dir", None),
     "--lru-size": ("lru_size", 4096),
     "--disk-size": ("disk_size", None),
@@ -33,7 +32,6 @@ def _full_config(tmp_path) -> WorkerConfig:
     return WorkerConfig(
         max_pending=7,
         max_batch=9,
-        max_delay=0.005,
         pool_workers=3,
         lru_size=111,
         max_disk_entries=222,
@@ -51,7 +49,6 @@ def test_subprocess_command_round_trips_through_the_parser(tmp_path):
     assert (args.host, args.port) == (spawner.host, 0)
     assert args.workers == 3
     assert args.max_batch == 9
-    assert args.max_delay_ms == pytest.approx(5.0)
     assert args.lru_size == 111
     assert args.disk_size == 222
     assert args.cache_dir == str(tmp_path / "w1")
@@ -71,6 +68,8 @@ def test_help_lists_the_worker_flags_with_their_defaults(command, capsys):
     for flag, (dest, default) in flags.items():
         assert flag in help_text
         assert defaults[dest] == default, flag
+    # The drain never lingers, so there is no linger flag.
+    assert "--max-delay-ms" not in help_text
 
 
 def test_from_args_reads_the_child_command_back(tmp_path):
@@ -96,4 +95,4 @@ def test_server_has_the_config_shape(tmp_path):
     assert (server.cache.max_entries, server.cache.max_disk_entries) == (111, 222)
     assert (tmp_path / "solo").is_dir()
     assert (server._workers, server._max_batch, server._max_pending) == (3, 9, 7)
-    assert (server._max_delay, server._solve_timeout) == (0.005, 12.5)
+    assert server._solve_timeout == 12.5

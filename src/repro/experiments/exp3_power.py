@@ -31,8 +31,8 @@ import numpy as np
 from repro.analysis.stats import SeriesStats, summarize
 from repro.core.costs import ModalCostModel
 from repro.exceptions import ConfigurationError
-from repro.power.kernels import KERNELS
 from repro.power.greedy_power import greedy_power_candidates
+from repro.power.kernels import KERNELS
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.generators import paper_tree, random_preexisting_modes
 

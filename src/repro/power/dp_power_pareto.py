@@ -1,9 +1,9 @@
 """MinPower / MinPower-BoundedCost — exact Pareto-label dynamic program.
 
-This is the paper's §4.3 algorithm.  The paper
-parameterises per-subtree tables by full count vectors — ``n_j`` new servers
-per mode and ``e_{j,j'}`` reused servers per mode change — and minimises the
-requests traversing the subtree root for every vector (complexity
+This is the paper's §4.3 algorithm.  The paper parameterises per-subtree
+tables by full count vectors — ``n_j`` new servers per mode and
+``e_{j,j'}`` reused servers per mode change — and minimises the requests
+traversing the subtree root for every vector (complexity
 ``O(N·M·(N-E+1)^{2M}·(E+1)^{2M²})``, Theorem 3).  We observe that a count
 vector influences the completion of a partial solution **only** through three
 additive quantities:

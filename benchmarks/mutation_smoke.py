@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{module}: {killed} killed, {len(survivors)} survived "
                 f"of {len(sites)} ({time.perf_counter() - started:.0f} s)"
             )
-            for site in survivors:
+            for site in sorted(survivors, key=lambda site: site.line):
                 print(f"  survived {site.label(module)}")
             sys.stdout.flush()
         print(f"total: {total_killed} killed, {total_survived} survived")

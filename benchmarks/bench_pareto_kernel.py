@@ -3,8 +3,8 @@
 Measures the production engine (``KERNELS["array"]``, the
 structure-of-arrays kernel of :mod:`repro.power.dp_power_array`) against
 the frozen plain kernel (:mod:`_legacy_pareto`) on one instance per
-family, interleaving
-the two timers so CPU-frequency drift cannot bias the ratio, and writes
+family, interleaving the two timers so CPU-frequency drift cannot bias
+the ratio, and writes
 ``benchmarks/results/BENCH_pareto.json`` — per family: wall times for
 both kernels, the speedup, and the kernel counters (labels created /
 generated / rejected at merge, memo hits).  CI uploads the file as an
@@ -165,8 +165,8 @@ def _array_families() -> dict[str, dict]:
 
     ``hard=True`` families carry the ``REPRO_BENCH_MIN_ARRAY_SPEEDUP``
     gate.  Small instances are deliberately absent: below ~10^6 labels
-    both kernels are bounded by the per-node skeleton and numpy call
-    overhead eats most of the array kernel's gain.
+    both kernels are bounded by the per-node skeleton, so the ratio says
+    little about merge work.
     """
     six = (1, 2, 4, 7, 11, 16)
     f: dict[str, dict] = {}

@@ -16,7 +16,6 @@ Run from the repository root::
 
     python benchmarks/mutation_smoke.py              # every target
     python benchmarks/mutation_smoke.py --list       # sites only, no runs
-    python benchmarks/mutation_smoke.py --module repro/batch/canonical.py
 
 Exits non-zero if the unmutated copy fails the subset.  Survivors do not
 fail the run: the script reports, it does not gate.
@@ -157,24 +156,16 @@ def _run_subset(work: Path, timeout: float) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--root", type=Path, default=ROOT,
-        help="repository to mutate (default: this checkout)",
-    )
-    parser.add_argument(
-        "--module", action="append", choices=sorted(TARGETS),
-        help="mutate only this target module (repeatable)",
-    )
-    parser.add_argument(
         "--timeout", type=float, default=120.0,
         help="seconds per mutant run; a timeout counts as killed",
     )
     parser.add_argument("--list", action="store_true", help="list sites and exit")
     args = parser.parse_args(argv)
-    modules = args.module or sorted(TARGETS)
+    modules = sorted(TARGETS)
 
     if args.list:
         for module in modules:
-            source = (args.root / "src" / module).read_text()
+            source = (ROOT / "src" / module).read_text()
             sites = find_sites(source, TARGETS[module])
             print(f"{module}: {len(sites)} sites")
             for site in sites:
@@ -184,9 +175,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutation-smoke-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-        shutil.copytree(args.root / "src", work / "src", ignore=ignore)
-        shutil.copytree(args.root / "tests", work / "tests", ignore=ignore)
-        shutil.copy(args.root / "pyproject.toml", work / "pyproject.toml")
+        shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
         if not _run_subset(work, args.timeout):
             print("error: the unmutated copy fails the fast subset", file=sys.stderr)
             return 1

@@ -5,9 +5,9 @@ DP (``power_frontier``) solve the same DP and must be *observationally
 identical*: same (cost, power) frontier as the paper-faithful
 count-vector DP on arbitrary instances, byte-identical across kernels
 and with/without the array kernel's AHU subtree memo, reconstructable
-placements that survive the ``from_records(verify=True)`` re-pricing path (the
-PR-4 cache contract), and bisect-based bound queries that agree with
-the linear scans they replaced.  Witness placements may differ between
+placements that survive the ``from_records(verify=True)`` re-pricing
+path (the PR-4 cache contract), and bisect-based bound queries that
+agree with the linear scans they replaced.  Witness placements may differ between
 kernels at equal-optimum ties; every witness must still re-price
 exactly.
 """

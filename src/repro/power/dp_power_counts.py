@@ -59,7 +59,7 @@ def power_frontier_counts(
     if tree.n_nodes > _MAX_NODES:
         raise ConfigurationError(
             f"count-vector DP is a validation tool capped at {_MAX_NODES} "
-            f"nodes (got {tree.n_nodes}); use power_frontier() instead"
+            f"nodes (got {tree.n_nodes}); use KERNELS['array'] instead"
         )
     modes = power_model.modes
     m_count = modes.n_modes

@@ -14,8 +14,7 @@ cluster routing key.
 
 Run from the repository root::
 
-    python benchmarks/mutation_smoke.py              # every target
-    python benchmarks/mutation_smoke.py --list       # sites only, no runs
+    python benchmarks/mutation_smoke.py
 
 Exits non-zero if the unmutated copy fails the subset.  Survivors do not
 fail the run: the script reports, it does not gate.
@@ -23,7 +22,6 @@ fail the run: the script reports, it does not gate.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -59,6 +57,9 @@ TARGETS: dict[str, tuple[str, ...] | None] = {
     "repro/core/dp_withpre.py": ("_leaf_group", "_at", "_minplus", "_flow_*"),
     "repro/batch/canonical.py": ("routing_key", "canonicalize"),
 }
+
+#: Seconds per mutant run; a run that exceeds it counts as killed.
+_TIMEOUT = 120.0
 
 #: The oracle ladder's fast subset (about 10 s on 2 cores).
 FAST_SUBSET = (
@@ -136,7 +137,7 @@ def mutate(source: str, site: Site, functions: tuple[str, ...] | None = None) ->
     raise ValueError(f"no comparison site {site.index}")
 
 
-def _run_subset(work: Path, timeout: float) -> bool:
+def _run_subset(work: Path) -> bool:
     """True iff the fast subset passes on the copy under ``work``."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [
@@ -145,7 +146,7 @@ def _run_subset(work: Path, timeout: float) -> bool:
     ]
     try:
         proc = subprocess.run(
-            cmd, cwd=work, env=env, timeout=timeout,
+            cmd, cwd=work, env=env, timeout=_TIMEOUT,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
@@ -153,24 +154,8 @@ def _run_subset(work: Path, timeout: float) -> bool:
     return proc.returncode == 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--timeout", type=float, default=120.0,
-        help="seconds per mutant run; a timeout counts as killed",
-    )
-    parser.add_argument("--list", action="store_true", help="list sites and exit")
-    args = parser.parse_args(argv)
+def main() -> int:
     modules = sorted(TARGETS)
-
-    if args.list:
-        for module in modules:
-            source = (ROOT / "src" / module).read_text()
-            sites = find_sites(source, TARGETS[module])
-            print(f"{module}: {len(sites)} sites")
-            for site in sites:
-                print(f"  {site.label(module)}")
-        return 0
 
     with tempfile.TemporaryDirectory(prefix="mutation-smoke-") as tmp:
         work = Path(tmp)
@@ -178,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
-        if not _run_subset(work, args.timeout):
+        if not _run_subset(work):
             print("error: the unmutated copy fails the fast subset", file=sys.stderr)
             return 1
         total_killed = total_survived = 0
@@ -190,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
             started = time.perf_counter()
             for site in sites:
                 path.write_text(mutate(original, site, TARGETS[module]))
-                if _run_subset(work, args.timeout):
+                if _run_subset(work):
                     survivors.append(site)
                 path.write_text(original)
             killed = len(sites) - len(survivors)

@@ -2,7 +2,9 @@
 
 * :mod:`~repro.power.modes` — mode sets and the Equation-3 power model;
 * :mod:`~repro.power.dp_power_pareto` — the frontier types and the plain
-  Pareto-label DP (the test reference; no production path calls it);
+  Pareto-label DP (the test reference; no production path calls it).
+  :func:`power_frontier`, exported here, is that slow reference; solve
+  with ``KERNELS["array"]``, which takes the same arguments;
 * :mod:`~repro.power.dp_power_array` — the structure-of-arrays numpy
   kernel, the one engine every caller runs (byte-identical frontiers);
 * :mod:`~repro.power.kernels` — :data:`~repro.power.kernels.KERNELS`,

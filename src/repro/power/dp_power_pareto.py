@@ -356,6 +356,11 @@ def power_frontier(
 ) -> PowerFrontier:
     """Compute the exact cost/power frontier with the reference DP.
 
+    A test oracle, not a solver: on label-heavy instances it is tens of
+    times slower than the engine, and it takes no ``memoize=`` or
+    ``stats=``.  Library callers solve with
+    ``repro.power.KERNELS["array"]``, which returns the same frontier.
+
     Parameters
     ----------
     tree:

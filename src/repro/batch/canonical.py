@@ -50,9 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
@@ -70,7 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Canonical",
     "SubtreeCodes",
-    "cached_subtree_codes",
     "canonicalize",
     "instance_digest",
     "labelled_subtree_codes",
@@ -305,50 +301,6 @@ def labelled_subtree_codes(
         else:
             keys[vi] = c
     return SubtreeCodes(codes=tuple(codes), table_keys=tuple(keys))
-
-
-#: Capacity of the per-process :func:`cached_subtree_codes` memo.  Live
-#: sessions and bound sweeps hammer a handful of trees; 128 retained
-#: relabellings covers every realistic working set while keeping the
-#: worst case (128 full code tuples) a few MiB.
-_CODES_MEMO_CAP = 128
-
-_codes_memo: OrderedDict[
-    tuple[int, tuple[tuple[int, int], ...]],
-    tuple["weakref.ref[Tree]", SubtreeCodes],
-] = OrderedDict()
-_codes_memo_lock = threading.Lock()
-
-
-def cached_subtree_codes(
-    tree: Tree, preexisting: Iterable[int] | Mapping[int, int] = ()
-) -> SubtreeCodes:
-    """Memoized :func:`labelled_subtree_codes` for repeated solves.
-
-    Both Pareto-DP kernels relabel the whole tree on *every* solve; on
-    the serving hot paths (bound sweeps, live sessions, cache-warm
-    batches) the same ``(tree, pre)`` pair recurs many times, so the
-    O(N log N) relabelling is pure overhead after the first call.  The
-    memo is keyed by tree *identity* plus the sorted pre-mode items and
-    holds a weak reference to the tree: an entry only answers while the
-    keyed object is still alive (``id`` reuse after garbage collection
-    cannot alias a different tree), and the LRU cap bounds the memo on
-    long-lived processes.  Thread-safe — solves run on executor threads.
-    """
-    pre_modes = _normalize_preexisting(preexisting)
-    key = (id(tree), tuple(sorted(pre_modes.items())))
-    with _codes_memo_lock:
-        hit = _codes_memo.get(key)
-        if hit is not None and hit[0]() is tree:
-            _codes_memo.move_to_end(key)
-            return hit[1]
-    sub = labelled_subtree_codes(tree, pre_modes)
-    with _codes_memo_lock:
-        _codes_memo[key] = (weakref.ref(tree), sub)
-        _codes_memo.move_to_end(key)
-        while len(_codes_memo) > _CODES_MEMO_CAP:
-            _codes_memo.popitem(last=False)
-    return sub
 
 
 def instance_digest(

@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--stats", action="store_true",
         help="print aggregated Pareto-DP kernel counters (labels created/"
-        "generated/rejected, memo hits) from the solved records as JSON",
+        "generated/rejected; the memo_* front-store counters read 0 for "
+        "these cold solves) from the solved records as JSON",
     )
     b.add_argument(
         "--solve-timeout", type=float, default=None, metavar="SECS",
@@ -246,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--perf", action="store_true",
         help="print serving stats plus aggregated Pareto-DP kernel "
-        "counters (labels created/generated/rejected, memo hits) as JSON",
+        "counters (labels created/generated/rejected; the memo_* "
+        "front-store counters read 0 for cold solves) as JSON",
     )
     c.add_argument(
         "--shutdown", action="store_true",

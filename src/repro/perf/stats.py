@@ -366,9 +366,11 @@ class ParetoDPStats(Collector):
     (everything in between was skipped as provably dominated without ever
     being built), and ``merge_rejected`` the generated candidates that a
     better label then beat at pop time.  ``memo_hits`` / ``memo_misses``
-    count subtree-table lookups by labelled AHU code, and
-    ``memo_labels_shared`` the labels answered from a shared table
-    instead of being recomputed.
+    count subtree-table lookups in a live session's
+    :class:`~repro.power.frontstore.FrontStore`, and
+    ``memo_labels_shared`` the labels answered from a stored table
+    instead of being recomputed; a cold solve (no store) makes no
+    lookups and reports 0 for all three.
     """
 
     merges: int = 0
@@ -376,9 +378,9 @@ class ParetoDPStats(Collector):
     labels_generated: int = 0  #: candidates the dominance-aware merge built
     labels_kept: int = 0  #: labels surviving Pareto pruning
     merge_rejected: int = 0  #: generated candidates dominated at merge time
-    memo_hits: int = 0  #: subtree tables answered from the AHU memo
-    memo_misses: int = 0  #: subtree tables computed (then memoized)
-    memo_labels_shared: int = 0  #: labels served from a memoized table
+    memo_hits: int = 0  #: subtree tables answered from the front store
+    memo_misses: int = 0  #: front-store lookups that computed the table
+    memo_labels_shared: int = 0  #: labels served from a stored table
     max_front_size: int = 0  #: largest (g, p) front for a single flow value
     max_flow_keys: int = 0  #: most distinct flow values at one node
 

@@ -89,18 +89,20 @@ internal children follow gets one prefix entry, keyed by the usual
 ``prefix_key`` chain over its leaf codes.
 
 On top of the merge, the kernel has structural fast paths the
-reference deliberately lacks: identity skips for empty subtrees, verbatim front *aliasing* when
-one operand is provably placement-free (the ``alias_p`` sentinel,
-including its underflow guard), shifted singleton copies as pure vector
-adds, and AHU subtree memoization whose alias tables share the
-representative's ``g``/``p`` buffers zero-copy.  Provenance is columnar
-too: one growable log of ``(kind, a, b, node, mode)`` entries plus a
-side table of memo isomorphisms; placements are reconstructed by walking
-log indices.  The returned :class:`FrontierPoint`\\ s hold ``(log, id)``
-pairs and reconstruct lazily on :meth:`FrontierPoint.placement` — the
-same deferral the reference gets from its label back-chains, so a
-frontier consumer that only reads ``(cost, power)`` columns never pays
-for placement walks.
+reference deliberately lacks: identity skips for empty subtrees,
+verbatim front *aliasing* when one operand is provably placement-free
+(the ``alias_p`` sentinel, including its underflow guard), and shifted
+singleton copies as pure vector adds.  A cold solve computes every
+node's table; repeated subtrees are shared only through a live
+session's :class:`~repro.power.frontstore.FrontStore`, whose alias
+tables share the representative's ``g``/``p`` buffers zero-copy.
+Provenance is columnar too: one growable log of ``(kind, a, b, node,
+mode)`` entries plus a side table of store isomorphisms; placements are
+reconstructed by walking log indices.  The returned
+:class:`FrontierPoint`\\ s hold ``(log, id)`` pairs and reconstruct
+lazily on :meth:`FrontierPoint.placement` — the same deferral the
+reference gets from its label back-chains, so a frontier consumer that
+only reads ``(cost, power)`` columns never pays for placement walks.
 """
 
 from __future__ import annotations
@@ -154,11 +156,11 @@ _RECORD_FILTER_MIN = 64
 #: convention — merges build new columns or share existing ones verbatim.
 _Front = tuple["NDArray[np.float64]", "NDArray[np.float64]", "NDArray[np.int64]"]
 
-#: Provenance entry kinds (the reference's back tags, plus memo aliases).
+#: Provenance entry kinds (the reference's back tags, plus store aliases).
 _K_BASE = 0  #: the shared empty label (no placements)
 _K_MERGE = 1  #: "m": combine labels a and b
 _K_PLACE = 2  #: "x": combine a and b, placing a replica on node at mode
-_K_ALIAS = 3  #: "s": memo alias of a through isomorphism isos[b]
+_K_ALIAS = 3  #: "s": store alias of a through isomorphism isos[b]
 
 _BASE_G = np.zeros(1)
 _BASE_P = np.zeros(1)
@@ -167,34 +169,6 @@ for _arr in (_BASE_G, _BASE_P, _BASE_PROV):
     _arr.setflags(write=False)
 #: The shared base front: prov id 0 is every log's base entry.
 _BASE_FRONT: _Front = (_BASE_G, _BASE_P, _BASE_PROV)
-
-
-def _subtree_iso(
-    tree: Tree, codes: Sequence[int], rep: int, dst: int
-) -> dict[int, int]:
-    """Isomorphism (node map) between two equal-code subtrees.
-
-    Children with equal labelled codes root isomorphic annotated
-    subtrees, so pairing the two child lists sorted by code yields a
-    load- and pre-mode-preserving bijection regardless of how ties are
-    ordered.
-    """
-    mapping: dict[int, int] = {}
-    stack = [(rep, dst)]
-    get = codes.__getitem__
-    while stack:
-        a, b = stack.pop()
-        mapping[a] = b
-        ka = tree.children(a)
-        if ka:
-            kb = tree.children(b)
-            if len(ka) == 1:
-                stack.append((ka[0], kb[0]))
-            else:
-                stack.extend(
-                    zip(sorted(ka, key=get), sorted(kb, key=get), strict=True)
-                )
-    return mapping
 
 
 class _ProvLog:
@@ -217,8 +191,8 @@ class _ProvLog:
         self.b = array("q", [0])
         self.node = array("q", [0])
         self.mode = array("q", [0])
-        # dicts, or lazy mapping-like isos in front-store mode — the
-        # placement walk only ever subscripts them.
+        # The front store's lazy mapping-like isos: the placement walk
+        # only ever subscripts them.
         self.isos: list[Any] = []
 
     def append_merges(
@@ -241,14 +215,14 @@ class _ProvLog:
         return np.arange(start, start + n, dtype=np.int64)
 
     def add_iso(self, iso: Any) -> int:
-        """Register one memo isomorphism; returns its index for aliases."""
+        """Register one store isomorphism; returns its index for aliases."""
         self.isos.append(iso)
         return len(self.isos) - 1
 
     def append_aliases(
         self, rep_prov: NDArray[np.int64], iso_idx: int
     ) -> NDArray[np.int64]:
-        """Batch-append memo-alias entries sharing one isomorphism."""
+        """Batch-append store-alias entries sharing one isomorphism."""
         start = len(self.kind)
         n = int(rep_prov.shape[0])
         self.kind.extend(array("b", [_K_ALIAS]) * n)
@@ -261,7 +235,7 @@ class _ProvLog:
     def placement(self, prov_id: int) -> dict[int, int]:
         """Reconstruct ``{node: mode}`` by walking the log (root excluded).
 
-        Memo aliases are resolved by composing the accumulated subtree
+        Store aliases are resolved by composing the accumulated subtree
         isomorphisms innermost-first.
         """
         kind, a, b = self.kind, self.a, self.b
@@ -687,7 +661,6 @@ def power_frontier_array(
     preexisting_modes: Mapping[int, int] | None = None,
     *,
     stats: ParetoDPStats | None = None,
-    memoize: bool = True,
     front_store: FrontStore | None = None,
 ) -> PowerFrontier:
     """Exact cost/power frontier — array-kernel drop-in for
@@ -698,12 +671,12 @@ def power_frontier_array(
     :class:`~repro.power.dp_power_pareto.PowerFrontier` shares the root
     sweep's output columns as its :class:`FrontierColumns` backing.
 
-    ``front_store`` (a :class:`repro.power.FrontStore`, which the
-    reference kernel does not take) switches table sharing from the
-    solve-local memo to the store, which also retains every table across
-    solves (``memoize`` is then ignored).  The provenance log lives on
-    the store in that mode, so aliases published in one solve stay
-    resolvable in later ones.
+    Without ``front_store`` the solve is cold: every node's table is
+    computed.  A ``front_store`` (a :class:`repro.power.FrontStore`,
+    which the reference kernel does not take) answers repeated subtrees
+    within this solve and retains every table for later ones.  The
+    provenance log lives on the store in that mode, so aliases published
+    in one solve stay resolvable in later ones.
     """
     modes = power_model.modes
     n_modes = modes.n_modes
@@ -742,26 +715,13 @@ def power_frontier_array(
 
     codes: Sequence[int] = ()
     table_keys: Sequence[int] = ()
-    memo: dict[int, tuple[int, dict[int, _Front]]] = {}
-    recurring: set[int] = set()
     if front_store is not None:
         # Store mode (live sessions): the session-owned store both answers
         # repeated subtrees within this solve and retains every computed
-        # table for the next one, so the solve-local memo stays unused.
+        # table for the next one.
         front_store.begin_solve()
         sub = front_store.codes_for(tree, pre)
         codes, table_keys = sub.codes, sub.table_keys
-    elif memoize:
-        from collections import Counter
-
-        from repro.batch.canonical import cached_subtree_codes
-
-        sub = cached_subtree_codes(tree, pre)
-        codes, table_keys = sub.codes, sub.table_keys
-        key_counts = Counter(
-            table_keys[v] for v in range(tree.n_nodes) if tree.children(v)
-        )
-        recurring = {key for key, count in key_counts.items() if count > 1}
 
     merges = 0
     labels_created = 0
@@ -787,7 +747,7 @@ def power_frontier_array(
         prov, stats,
     )
     # A node's computed table, or a (representative table, iso) pair for
-    # a store/memo hit whose alias rows are deferred to the consuming fold.
+    # a store hit whose alias rows are deferred to the consuming fold.
     tables: list[dict[int, _Front] | tuple[Mapping[int, _Front], Any] | None]
     tables = [None] * tree.n_nodes
     int64 = np.int64
@@ -798,31 +758,22 @@ def power_frontier_array(
         j = stack.pop()
         if j >= 0:
             kids = children(j)
-            if kids and (front_store is not None or memoize):
-                rep_table: Mapping[int, _Front] | None = None
-                iso_obj: Any = None
-                if front_store is not None:
-                    entry = front_store.lookup(table_keys[j])
-                    if entry is not None:
-                        rep_table = entry.table
-                        # Lazy iso: materialised only if a placement is
-                        # reconstructed through it (keeps store hits
-                        # O(fronts), not O(subtree)).
-                        iso_obj = front_store.make_iso(entry, tree, codes, j)
-                else:
-                    hit = memo.get(table_keys[j])
-                    if hit is not None:
-                        rep, rep_table = hit
-                        iso_obj = _subtree_iso(tree, codes, rep, j)
-                if rep_table is not None:
+            if kids and front_store is not None:
+                entry = front_store.lookup(table_keys[j])
+                if entry is not None:
                     # Aliased only when the parent's fold consumes it: a
                     # child that a retained parent prefix covers never
-                    # pays for its alias rows.
-                    tables[j] = (rep_table, iso_obj)
+                    # pays for its alias rows.  The lazy iso materialises
+                    # only if a placement is reconstructed through it
+                    # (keeps store hits O(fronts), not O(subtree)).
+                    tables[j] = (
+                        entry.table,
+                        front_store.make_iso(entry, tree, codes, j),
+                    )
                     memo_hits += 1
                     if stats is not None:
                         memo_shared += sum(
-                            len(front[0]) for front in rep_table.values()
+                            len(front[0]) for front in entry.table.values()
                         )
                     continue
                 memo_misses += 1
@@ -1286,8 +1237,6 @@ def power_frontier_array(
                 acc,
                 sum(int(front[0].shape[0]) for front in acc.values()),
             )
-        elif memoize and table_keys[j] in recurring:
-            memo[table_keys[j]] = (j, acc)
 
     root = tree.root
     root_table = tables[root]

@@ -37,7 +37,7 @@ Reference kernel
 :func:`power_frontier` is the plain textbook DP, kept as the reference
 the production engine (:data:`repro.power.kernels.KERNELS`, the array
 kernel of :mod:`repro.power.dp_power_array`) is pinned against.  It
-shares none of that engine's fast paths — no subtree memo, no
+shares none of that engine's fast paths — no front-store sharing, no
 placement-free aliasing, no identity skips, no shifted copies, no
 stream merge — so a bug in one of them cannot hide in both.  It is
 slow on label-heavy instances and no production path calls it.
@@ -357,8 +357,8 @@ def power_frontier(
     """Compute the exact cost/power frontier with the reference DP.
 
     A test oracle, not a solver: on label-heavy instances it is tens of
-    times slower than the engine, and it takes no ``memoize=`` or
-    ``stats=``.  Library callers solve with
+    times slower than the engine, and it takes no ``stats=`` or
+    ``front_store=``.  Library callers solve with
     ``repro.power.KERNELS["array"]``, which returns the same frontier.
 
     Parameters

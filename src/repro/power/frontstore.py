@@ -1,14 +1,15 @@
 """Cross-solve retention of per-subtree DP fronts (live sessions).
 
-The Pareto-DP kernels already share computed ``(node, flow)`` tables
-*within* one solve through the labelled-AHU memo
+A :class:`FrontStore` is the array kernel's only way to share computed
+``(node, flow)`` tables; a cold solve (no store) computes every node's
+table.  Tables are keyed by labelled AHU codes
 (:func:`repro.batch.canonical.labelled_subtree_codes`): equal
-``table_keys`` mean equal tables.  A :class:`FrontStore` extends that
-contract *across* solves — the incremental re-solve engine
-(:mod:`repro.dynamics.incremental`) applies a delta to a tree, re-solves,
-and every subtree the delta did not touch is answered from the store
-instead of being recomputed, so per-delta work collapses to the root
-path of the edit plus cheap bookkeeping.
+``table_keys`` mean equal tables, so the store answers repeated
+subtrees *within* one solve and *across* solves.  The incremental
+re-solve engine (:mod:`repro.dynamics.incremental`) applies a delta to
+a tree, re-solves, and every subtree the delta did not touch is
+answered from the store instead of being recomputed, so per-delta work
+collapses to the root path of the edit plus cheap bookkeeping.
 
 Four design points make this sound and cheap:
 
@@ -96,8 +97,7 @@ def cross_tree_iso(
     The two code sequences must come from one shared intern table (the
     store guarantees this), so equal codes identify isomorphic annotated
     subtrees across trees; pairing child lists sorted by code yields a
-    load- and pre-mode-preserving bijection exactly as the within-solve
-    :func:`repro.power.dp_power_array._subtree_iso` does.
+    load- and pre-mode-preserving bijection.
 
     ``prefix > 0`` maps a child-prefix accumulator instead: only the
     first ``prefix`` children of ``src`` and ``dst`` are paired, position

@@ -33,7 +33,7 @@ from repro.tree.model import Tree
 __all__ = ["KERNELS", "FrontStore", "min_power", "min_power_bounded_cost"]
 
 #: Engine name -> solver callable (``power_frontier``'s signature plus
-#: ``stats=``, ``memoize=`` and ``front_store=``).
+#: ``stats=`` and ``front_store=``).
 KERNELS: dict[str, Callable] = {"array": power_frontier_array}
 
 

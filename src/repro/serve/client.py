@@ -342,7 +342,8 @@ class ServeClient:
         The ``kernel`` section carries per-solver Pareto-DP counters
         (:class:`~repro.perf.stats.ParetoDPStats`) absorbed from the
         canonical solve records — labels created / generated / rejected
-        at merge and AHU-memo hits — each canonical digest counted once.
+        at merge, each canonical digest counted once.  These solves run
+        cold, so the ``memo_*`` counters (front-store lookups) read 0.
         """
         response = await self._request({"op": "perf"})
         return response["perf"]

@@ -719,8 +719,9 @@ class BatchServer(JsonLinesEndpoint):
 
         The payload behind the protocol's ``perf`` op: everything
         ``stats`` returns, plus per-solver Pareto-DP kernel statistics
-        (labels created / generated / rejected at merge, memo hits)
-        accumulated from the canonical solves this server performed.
+        (labels created / generated / rejected at merge; the ``memo_*``
+        front-store counters read 0 for these cold solves) accumulated
+        from the canonical solves this server performed.
         """
         return {
             "serve": self.stats.as_dict(),

@@ -77,10 +77,7 @@ class Tree:
     ``Tree`` instances via :meth:`with_clients`.
     """
 
-    # ``__weakref__`` lets caches key entries by tree identity without
-    # keeping the tree alive (repro.batch.canonical.cached_subtree_codes).
     __slots__ = (
-        "__weakref__",
         "_parents",
         "_children",
         "_root",

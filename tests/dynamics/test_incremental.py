@@ -13,8 +13,7 @@ The tentpole contract, each piece pinned here:
 * **store reuse** — untouched subtrees are answered from the retained
   front store (hits grow, reuse counters surface in ``ApplyResult``),
   and ``close()`` releases every retained table;
-* **satellites** — the bounded ``cached_subtree_codes`` memo and the
-  explicit ``seed=`` plumbing of ``run_session``.
+* **satellites** — the explicit ``seed=`` plumbing of ``run_session``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.canonical import cached_subtree_codes, labelled_subtree_codes
+from repro.batch.canonical import labelled_subtree_codes
 from repro.core.costs import ModalCostModel
 from repro.dynamics import (
     AddClient,
@@ -299,34 +298,6 @@ def test_front_store_rejects_non_positive_budget(budget, value):
     # session solve would silently run cold.
     with pytest.raises(ConfigurationError, match=f"{budget}={value}"):
         FrontStore(**{budget: value})
-
-
-class TestCachedSubtreeCodes:
-    """Satellite: bounded per-process relabelling memo."""
-
-    def test_identity_hit_same_tree(self, chain_tree):
-        first = cached_subtree_codes(chain_tree)
-        second = cached_subtree_codes(chain_tree)
-        assert first is second
-
-    def test_distinct_pre_sets_are_distinct_entries(self, chain_tree):
-        plain = cached_subtree_codes(chain_tree)
-        marked = cached_subtree_codes(chain_tree, frozenset({1}))
-        assert plain is not marked
-        assert plain.codes != marked.codes
-
-    def test_matches_uncached_relabelling(self, star5_tree):
-        cached = cached_subtree_codes(star5_tree, {2: 1})
-        fresh = labelled_subtree_codes(star5_tree, {2: 1})
-        assert cached.codes == fresh.codes
-        assert cached.table_keys == fresh.table_keys
-
-    def test_equal_shape_different_identity_not_conflated(self):
-        a = Tree([None, 0], [Client(1, 2)])
-        b = Tree([None, 0], [Client(1, 2)])
-        codes_a = cached_subtree_codes(a)
-        codes_b = cached_subtree_codes(b)
-        assert codes_a.codes == codes_b.codes  # same canonical content
 
 
 class TestRunSessionSeed:

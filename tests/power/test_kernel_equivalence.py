@@ -4,7 +4,7 @@ The production engine (``power_frontier_array``) and the plain reference
 DP (``power_frontier``) solve the same DP and must be *observationally
 identical*: same (cost, power) frontier as the paper-faithful
 count-vector DP on arbitrary instances, byte-identical across kernels
-and with/without the array kernel's AHU subtree memo, reconstructable
+and between cold and front-store-backed array solves, reconstructable
 placements that survive the ``from_records(verify=True)`` re-pricing
 path (the PR-4 cache contract), and bisect-based bound queries that
 agree with the linear scans they replaced.  Witness placements may differ between
@@ -20,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.costs import ModalCostModel
-from repro.exceptions import InfeasibleError
+from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.perf.stats import ParetoDPStats
 from repro.power.dp_power_array import power_frontier_array
 from repro.power.dp_power_counts import power_frontier_counts
 from repro.power.dp_power_pareto import power_frontier
+from repro.power.frontstore import FrontStore
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.model import Client, Tree
 
@@ -37,17 +38,17 @@ CM3 = ModalCostModel.uniform(3, create=0.2, delete=0.05, changed=0.01)
 
 
 def both_kernels(tree, pm, cm, pre):
-    """Frontier of the reference and of the array kernel, its memo on
-    and off.
+    """Frontier of the reference and of the array kernel, cold and with a
+    fresh front store.
 
     All three solves must agree byte-for-byte on the (cost, power)
     frontier; returns the reference frontier.
     """
     reference = power_frontier(tree, pm, cm, pre)
-    arr_memo = power_frontier_array(tree, pm, cm, pre, memoize=True)
-    arr_plain = power_frontier_array(tree, pm, cm, pre, memoize=False)
-    assert arr_memo.pairs() == reference.pairs()
-    assert arr_plain.pairs() == reference.pairs()
+    arr_cold = power_frontier_array(tree, pm, cm, pre)
+    arr_store = power_frontier_array(tree, pm, cm, pre, front_store=FrontStore())
+    assert arr_cold.pairs() == reference.pairs()
+    assert arr_store.pairs() == reference.pairs()
     return reference
 
 
@@ -135,9 +136,19 @@ class TestDegenerateInstances:
         t = Tree([None, 0], [Client(1, 11)])
         with pytest.raises(InfeasibleError):
             power_frontier(t, PM, CM)
-        for memoize in (True, False):
+        for store in (None, FrontStore()):
             with pytest.raises(InfeasibleError):
-                power_frontier_array(t, PM, CM, memoize=memoize)
+                power_frontier_array(t, PM, CM, front_store=store)
+
+    @pytest.mark.parametrize("kernel", [power_frontier, power_frontier_array])
+    def test_preexisting_range_edges_rejected(self, kernel):
+        # The first id past the last node and the first mode past the
+        # last one: the exact edges of the entry range checks.
+        t = Tree([None, 0, 0], [Client(1, 3), Client(2, 4)])
+        with pytest.raises(ConfigurationError, match="is not a tree node"):
+            kernel(t, PM, CM, {t.n_nodes: 0})
+        with pytest.raises(ConfigurationError, match="invalid mode"):
+            kernel(t, PM, CM, {1: PM.modes.n_modes})
 
     def test_every_node_saturated(self):
         # Every node carries exactly w_max of direct load: feasible only
@@ -159,7 +170,8 @@ class TestDegenerateInstances:
 
 
 class TestMemoization:
-    """The array kernel's AHU subtree memo."""
+    """Subtree sharing through the front store, the array kernel's only
+    way to reuse a repeated subtree's table."""
 
     def _star_of_stars(self):
         # Root with 4 identical 4-leaf stars: maximal repeated structure.
@@ -177,12 +189,19 @@ class TestMemoization:
     def test_identical_subtrees_share_tables(self):
         t = self._star_of_stars()
         stats = ParetoDPStats()
-        frontier = power_frontier_array(t, PM, CM, stats=stats)
-        assert stats.memo_hits >= 3  # hubs 2..4 answered from hub 1's table
+        frontier = power_frontier_array(
+            t, PM, CM, stats=stats, front_store=FrontStore()
+        )
+        assert stats.memo_hits == 3  # hubs 2..4 answered from one hub's table
         assert stats.memo_labels_shared > 0
         assert frontier.pairs() == power_frontier_counts(t, PM, CM)
-        # Placements reconstructed through memo aliases must re-verify.
+        # Placements reconstructed through store aliases must re-verify.
         assert_roundtrip(frontier, t, PM, CM, {})
+        cold = ParetoDPStats()
+        assert power_frontier_array(t, PM, CM, stats=cold).pairs() == (
+            frontier.pairs()
+        )
+        assert cold.memo_hits == cold.memo_misses == 0
 
     def test_memo_respects_pre_modes(self):
         # Same shape, but one hub's subtree contains a pre-existing server:
@@ -190,50 +209,33 @@ class TestMemoization:
         t = self._star_of_stars()
         pre = {2: 1}  # a leaf of the first hub
         stats = ParetoDPStats()
-        frontier = power_frontier_array(t, PM, CM, pre, stats=stats)
-        plain = power_frontier_array(t, PM, CM, pre, memoize=False)
+        frontier = power_frontier_array(
+            t, PM, CM, pre, stats=stats, front_store=FrontStore()
+        )
+        plain = power_frontier_array(t, PM, CM, pre)
+        assert stats.memo_hits == 2  # only the three plain hubs share
         assert frontier.pairs() == plain.pairs()
         assert frontier.pairs() == power_frontier_counts(t, PM, CM, pre)
         assert_roundtrip(frontier, t, PM, CM, pre)
 
     def test_load_split_across_clients_still_shares(self):
-        # The memo keys on per-node load *sums*: one 4-request client and
+        # The store keys on per-node load *sums*: one 4-request client and
         # two 2-request clients are the same subtree to the DP.  Hubs 1
         # and 2 root one-leaf subtrees whose leaf loads split differently.
         parents = [None, 0, 0, 1, 2]
         t1 = Tree(parents, [Client(3, 4), Client(4, 4)])
         t2 = Tree(parents, [Client(3, 4), Client(4, 2), Client(4, 2)])
         s2 = ParetoDPStats()
-        f2 = power_frontier_array(t2, PM, CM, stats=s2)
+        f2 = power_frontier_array(t2, PM, CM, stats=s2, front_store=FrontStore())
         f1 = power_frontier_array(t1, PM, CM)
         assert f1.pairs() == f2.pairs()
-        assert s2.memo_hits >= 1  # hub 2 shares hub 1's table
-
-    def test_memo_only_retains_recurring_tables(self):
-        # On a structure-free caterpillar no table key recurs; the memo
-        # must not pin every node's fronts for the whole solve (the
-        # tables should be freeable as the DFS unwinds).
-        parents: list[int | None] = [None]
-        clients = []
-        for k in range(10):
-            spine = len(parents)
-            parents.append(spine - 1 if k else 0)
-            leaf = len(parents)
-            parents.append(spine)
-            clients.append(Client(leaf, (k % 5) + 1))
-        t = Tree(parents, clients)
-        stats = ParetoDPStats()
-        frontier = power_frontier_array(t, PM, CM, stats=stats)
-        assert stats.memo_hits == 0
-        assert frontier.pairs() == power_frontier_array(
-            t, PM, CM, memoize=False
-        ).pairs()
+        assert s2.memo_hits == 1  # one hub shares the other's table
 
     @settings(max_examples=40, deadline=None)
     @given(small_trees(max_nodes=12, max_requests=3, client_prob=0.5))
     def test_memo_never_changes_the_frontier(self, tree):
-        # Low request diversity makes collisions (hence memo hits) likely;
-        # the frontier must not care.
+        # Low request diversity makes collisions (hence store hits)
+        # likely; the frontier must not care.
         with contextlib.suppress(InfeasibleError):
             both_kernels(tree, PM, CM, {})
 
@@ -358,7 +360,8 @@ class TestStatsCoherence:
         assert stats.labels_created >= stats.labels_generated
         assert stats.merge_rejected >= 0
         assert stats.labels_generated >= stats.merge_rejected
-        assert stats.memo_hits + stats.memo_misses >= 1
+        # A cold solve makes no front-store lookups.
+        assert stats.memo_hits == stats.memo_misses == 0
         assert 0.0 <= stats.prune_ratio <= 1.0
         assert 0.0 <= stats.generation_ratio <= 1.0
 
@@ -533,12 +536,13 @@ class TestLeafRunFold:
         try:
             ft = power_frontier(tree, pm, cm, pre)
         except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                power_frontier_array(tree, pm, cm, pre)
+            for store in (None, FrontStore()):
+                with pytest.raises(InfeasibleError):
+                    power_frontier_array(tree, pm, cm, pre, front_store=store)
             return
         fa = power_frontier_array(tree, pm, cm, pre)
-        fp = power_frontier_array(tree, pm, cm, pre, memoize=False)
-        assert fa.pairs() == ft.pairs() == fp.pairs()
+        fs = power_frontier_array(tree, pm, cm, pre, front_store=FrontStore())
+        assert fa.pairs() == ft.pairs() == fs.pairs()
         assert_roundtrip(fa, tree, pm, cm, pre)
 
     @settings(max_examples=60, deadline=None)

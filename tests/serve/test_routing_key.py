@@ -181,10 +181,42 @@ class TestBalanceAndFallback:
                 "solver": "dp",
                 "instance": {"tree": {"parents": [None, 0], "clients": [[1, 1e300]]}},
             },
+            # Ids equal to the node count: the exact edges of the range
+            # checks.
+            {
+                "solver": "dp",
+                "instance": {"tree": {"parents": [None, 2], "clients": []}},
+            },
+            {
+                "solver": "dp",
+                "instance": {"tree": {"parents": [None, 0], "clients": [[2, 1]]}},
+            },
+            {
+                "solver": "dp",
+                "instance": {
+                    "tree": {"parents": [None, 0], "clients": []},
+                    "preexisting": [2],
+                },
+            },
         ],
     )
     def test_unkeyable_requests_take_the_fallback_key(self, router, message):
         assert router._solve_digest(message) == _UNROUTABLE
+
+    @pytest.mark.parametrize(
+        "tree, pre",
+        [
+            ({"parents": [None, 2], "clients": []}, []),
+            ({"parents": [None, 0], "clients": [[2, 1]]}, []),
+            ({"parents": [None, 0], "clients": []}, [2]),
+        ],
+    )
+    def test_ids_equal_to_the_node_count_are_out_of_range(self, tree, pre):
+        """The range checks reject an id equal to ``n`` themselves; no
+        array sized by the ids gets to fail on it first."""
+        raw = {"tree": tree, "preexisting": pre}
+        with pytest.raises(ValueError, match="out of range"):
+            routing_key(raw, "dp", preexisting=True)
 
     def test_values_are_coerced_like_the_parser(self):
         """``int()`` coercion: a float- or string-typed id keys like the

@@ -476,7 +476,8 @@ class TestPerfOp:
         kernel = first["kernel"]["min_power"]
         assert kernel["merges"] > 0
         assert kernel["labels_created"] >= kernel["labels_generated"] > 0
-        assert kernel["memo_hits"] + kernel["memo_misses"] > 0
+        # Served solves run cold: no front-store lookups.
+        assert kernel["memo_hits"] == kernel["memo_misses"] == 0
         assert second["kernel"]["min_power"] == kernel
         assert second["serve"]["policies"]["min_power"]["requests"] == 7
 

@@ -11,7 +11,7 @@ class TestTopLevelExports:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "1.10.0"
 
     def test_all_exports_resolve(self):
         import repro

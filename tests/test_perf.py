@@ -13,7 +13,7 @@ from repro.perf import (
     instrument_pareto_frontier,
     instrument_replica_update,
 )
-from repro.power import PowerModel
+from repro.power import KERNELS, FrontStore, PowerModel
 from repro.power.dp_power_pareto import power_frontier
 from repro.power.modes import ModeSet
 from repro.tree.generators import paper_tree, random_preexisting, random_preexisting_modes
@@ -67,10 +67,10 @@ class TestParetoDPStats:
         tree = paper_tree(40, request_range=(1, 5), rng=rng)
         pre = random_preexisting_modes(tree, 5, 2, rng=rng, mode=1)
         frontier, stats = instrument_pareto_frontier(tree, PM, CM, pre)
-        # One merge per (parent, child) edge of every *visited* subtree;
-        # AHU-memoized subtrees are answered without merging.
-        assert 0 < stats.merges <= 39
-        assert stats.merges + stats.memo_hits >= 1
+        # A cold solve computes every node's table: one merge per
+        # (parent, child) edge, and no front-store lookups.
+        assert stats.merges == tree.n_nodes - 1
+        assert stats.memo_hits == stats.memo_misses == 0
         assert stats.labels_created >= stats.labels_kept > 0
         assert stats.labels_created >= stats.labels_generated
         assert stats.merge_rejected >= 0
@@ -109,8 +109,9 @@ class TestParetoDPStats:
                 parents.append(hub)
                 clients.append(Client(leaf, 2))
         tree = Tree(parents, clients)
-        _, stats = instrument_pareto_frontier(tree, PM, CM)
-        assert stats.memo_hits >= 2
+        stats = ParetoDPStats()
+        KERNELS["array"](tree, PM, CM, stats=stats, front_store=FrontStore())
+        assert stats.memo_hits == 2  # hubs 2 and 3 share one hub's table
         assert stats.memo_labels_shared > 0
         assert stats.memo_hit_rate > 0.0
 

@@ -7,6 +7,9 @@ subset against each mutant.  A mutant is *killed* when a test fails or
 the run exceeds its timeout, and *survives* when the subset still
 passes.  Survivors are either equivalent mutants or holes in the
 ladder; each is printed as ``file:line:op`` so it can be triaged.
+Survivors listed in :data:`EQUIVALENT` (matched by enclosing function,
+comparison source and operator, never by line number) are printed apart
+with their reason, so the ``survived`` lines are the holes.
 
 Targets: every comparison of the array Pareto kernel, the flow-kernel
 functions of the MinCost-WithPre DP, and the canonicaliser plus the
@@ -58,6 +61,8 @@ TARGETS: dict[str, tuple[str, ...] | None] = {
     "repro/batch/canonical.py": ("routing_key", "canonicalize"),
 }
 
+_ARRAY = "repro/power/dp_power_array.py"
+
 #: Seconds per mutant run; a run that exceeds it counts as killed.
 _TIMEOUT = 120.0
 
@@ -70,16 +75,77 @@ FAST_SUBSET = (
     "tests/serve/test_routing_key.py",
     "tests/batch/test_canonical.py",
     "tests/power/test_power_cross_validation.py",
+    "tests/dynamics/test_prefix_reuse.py",
 )
+
+
+#: Known equivalent mutants: ``(module, function, expression, operator)``
+#: -> why flipping that operator cannot change any output.  ``expression``
+#: is the outermost expression around the comparison (an ``if`` test, a
+#: call, an assignment's value), so an entry names its site by content,
+#: never by line number, and covers every site with that content.
+EQUIVALENT: dict[tuple[str, str, str, str], str] = {
+    (_ARRAY, "_sweep", "n_buckets > 1", ">"): (
+        "the multi-bucket path sweeps a single bucket exactly as well"
+    ),
+    (
+        _ARRAY,
+        "_sweep",
+        "np.repeat(np.arange(n_buckets, dtype=np.int16 if n_buckets < 2 ** 15 "
+        "else np.intp), sizes)",
+        "<",
+    ): "only picks the width of the bucket-id column",
+    (_ARRAY, "_sweep", "n <= _RECORD_FILTER_MIN", "<="): (
+        "the record filter keeps a superset of the accepted rows, so "
+        "running it or not at exactly the threshold keeps the same rows"
+    ),
+    (_ARRAY, "_sweep", "np.sort(order[p_s < before[run_head]])", "<"): (
+        "a weaker record filter still keeps every accepted row"
+    ),
+    (
+        _ARRAY,
+        "_certainly_beaten",
+        "n < 2 or not float(np.abs(g).max()) < _ROOT_PREFILTER_MAX",
+        "<",
+    ): "the root prefilter only drops candidates the rounded sweep rejects; "
+    "skipping it at a threshold changes nothing",
+    (_ARRAY, "_large_bucket", "pos_col >= 0", ">="): (
+        "a weaker certain-reject prefilter still keeps every accepted row"
+    ),
+    (_ARRAY, "_large_bucket", "env[pos_col[rej]] <= cp[rej]", "<="): (
+        "a weaker certain-reject prefilter still keeps every accepted row"
+    ),
+    (_ARRAY, "_RunFold.fold", "_list_sweep(pool) if len(pool) > 1 else pool", ">"): (
+        "sweeping a one-row pool keeps that row"
+    ),
+    (_ARRAY, "_RunFold.fold", "p1 == alias_p and mode < 0", "<"): (
+        "an option at the alias sentinel power is always a pass (mode -1)"
+    ),
+    (_ARRAY, "_MergeStep.run", "s_p[row] == alias_p and s_mode[row] < 0", "<"): (
+        "an option at the alias sentinel power is always a pass (mode -1)"
+    ),
+    (
+        _ARRAY,
+        "_MergeStep.run",
+        "(large if total > _FILTER_LIMIT else swept).append((r, blks, total))",
+        ">",
+    ): "a bucket of exactly _FILTER_LIMIT candidates sweeps exactly on "
+    "either path",
+}
 
 
 class Site(NamedTuple):
     """One flippable comparison operator: ``index`` counts sites in walk
-    order, so the same source always yields the same numbering."""
+    order, so the same source always yields the same numbering.
+    ``function`` is the enclosing ``def`` (``Class.method`` inside a
+    class, empty at module level) and ``source`` the outermost expression
+    around the comparison."""
 
     index: int
     line: int
     op: str
+    function: str = ""
+    source: str = ""
 
     def label(self, module: str) -> str:
         return f"{module}:{self.line}:{self.op}"
@@ -111,14 +177,49 @@ def _compares(tree: ast.AST, functions: tuple[str, ...] | None) -> Iterator[ast.
                 yield node
 
 
+def _contexts(tree: ast.AST) -> dict[int, tuple[str, ast.expr]]:
+    """``id(node)`` -> (qualified name of the enclosing ``def``, the
+    outermost expression of the statement part holding the node)."""
+    out: dict[int, tuple[str, ast.expr]] = {}
+
+    def visit(node: ast.AST, scope: str, root: ast.expr | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, f"{scope}.{child.name}" if scope else child.name, None)
+            elif isinstance(child, ast.stmt):
+                visit(child, scope, None)
+            elif isinstance(child, ast.expr):
+                top = child if root is None else root
+                out[id(child)] = (scope, top)
+                visit(child, scope, top)
+            else:
+                visit(child, scope, root)
+
+    visit(tree, "", None)
+    return out
+
+
 def find_sites(source: str, functions: tuple[str, ...] | None = None) -> list[Site]:
     """Every flippable comparison operator of ``source``."""
+    tree = ast.parse(source)
+    contexts = _contexts(tree)
     sites: list[Site] = []
-    for node in _compares(ast.parse(source), functions):
+    for node in _compares(tree, functions):
+        scope, top = contexts[id(node)]
+        text = ast.unparse(top)
         for op in node.ops:
             if type(op) in FLIPS:
-                sites.append(Site(len(sites), node.lineno, _SYMBOL[type(op)]))
+                sites.append(
+                    Site(len(sites), node.lineno, _SYMBOL[type(op)], scope, text)
+                )
     return sites
+
+
+def equivalence_reason(module: str, site: Site) -> str | None:
+    """Why the mutant at ``site`` is a known equivalent, or ``None``."""
+    return EQUIVALENT.get((module, site.function, site.source, site.op))
 
 
 def mutate(source: str, site: Site, functions: tuple[str, ...] | None = None) -> str:
@@ -166,7 +267,7 @@ def main() -> int:
         if not _run_subset(work):
             print("error: the unmutated copy fails the fast subset", file=sys.stderr)
             return 1
-        total_killed = total_survived = 0
+        total_killed = total_survived = total_equivalent = 0
         for module in modules:
             path = work / "src" / module
             original = path.read_text()
@@ -178,17 +279,29 @@ def main() -> int:
                 if _run_subset(work):
                     survivors.append(site)
                 path.write_text(original)
+            holes = [s for s in survivors if equivalence_reason(module, s) is None]
+            equivalent = [s for s in survivors if s not in holes]
             killed = len(sites) - len(survivors)
             total_killed += killed
-            total_survived += len(survivors)
+            total_survived += len(holes)
+            total_equivalent += len(equivalent)
             print(
-                f"{module}: {killed} killed, {len(survivors)} survived "
-                f"of {len(sites)} ({time.perf_counter() - started:.0f} s)"
+                f"{module}: {killed} killed, {len(holes)} survived, "
+                f"{len(equivalent)} equivalent of {len(sites)} "
+                f"({time.perf_counter() - started:.0f} s)"
             )
-            for site in sorted(survivors, key=lambda site: site.line):
+            for site in sorted(holes, key=lambda site: site.line):
                 print(f"  survived {site.label(module)}")
+            for site in sorted(equivalent, key=lambda site: site.line):
+                print(
+                    f"  equivalent {site.label(module)} "
+                    f"({equivalence_reason(module, site)})"
+                )
             sys.stdout.flush()
-        print(f"total: {total_killed} killed, {total_survived} survived")
+        print(
+            f"total: {total_killed} killed, {total_survived} survived, "
+            f"{total_equivalent} equivalent"
+        )
     return 0
 
 

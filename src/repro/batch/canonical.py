@@ -67,6 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Canonical",
     "SubtreeCodes",
+    "UnkeyableInstanceError",
     "canonicalize",
     "instance_digest",
     "labelled_subtree_codes",
@@ -349,6 +350,15 @@ def instance_digest(
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+class UnkeyableInstanceError(ValueError):
+    """A raw instance dict that :func:`routing_key` cannot key.
+
+    Raised only by the key's own documented checks (value coercion and
+    the parent and node range checks), so a caller that falls back on it
+    never hides a defect inside the key computation.
+    """
+
+
 def routing_key(
     raw: Mapping[str, Any],
     solver: str,
@@ -378,8 +388,9 @@ def routing_key(
     Values are coerced with ``int()`` like
     :func:`~repro.batch.instance.instance_from_dict`, and node ids are
     range-checked before any array is sized by them.  Raises
-    :class:`ValueError` for a dict that cannot be keyed; such a request
-    is malformed and its parser reports the real error.
+    :class:`UnkeyableInstanceError` (a :class:`ValueError`) for a dict
+    that cannot be keyed; such a request is malformed and its parser
+    reports the real error.
     """
     try:
         tree = raw["tree"]
@@ -407,12 +418,12 @@ def routing_key(
         pre_ids = np.array(pre, dtype=np.int64)
         mark = np.array(marks, dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"instance cannot be keyed: {exc}") from exc
+        raise UnkeyableInstanceError(f"instance cannot be keyed: {exc}") from exc
     if n == 0 or par.min() < -1 or par.max() >= n:
-        raise ValueError("instance cannot be keyed: parent out of range")
+        raise UnkeyableInstanceError("instance cannot be keyed: parent out of range")
     for ids in (node, pre_ids):
         if ids.size and (ids.min() < 0 or ids.max() >= n):
-            raise ValueError("instance cannot be keyed: node out of range")
+            raise UnkeyableInstanceError("instance cannot be keyed: node out of range")
     kids = np.bincount(par[par >= 0], minlength=n)
     load = np.zeros(n, dtype=np.int64)
     np.add.at(load, node, req)  # wraps mod 2**64: still order-independent

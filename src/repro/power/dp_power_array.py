@@ -15,7 +15,7 @@ front is three parallel sorted **column arrays** —
 and a child merge builds the candidate cross products of *all* its
 output flows (buckets) at once, as gathered ``(accumulator row, option)``
 columns, and sweeps them together: :func:`_sweep` orders every bucket by
-``(g, p)`` with one sort per merge and keeps, per bucket, exactly what a
+``(g, p)`` with one sort per step and keeps, per bucket, exactly what a
 stable ``lexsort`` plus the scalar sweep would (the strict running
 minimum of p, read at each equal-g run's head, drops most rejections
 before the exact stable order is ever built).  Buckets above
@@ -56,6 +56,24 @@ the count-vector oracle).  The three rules that make it hold:
    than 2e-9 in cost at no more power (:func:`_certainly_beaten`): the
    sweep rejects those after rounding whatever the tie order.
 
+**Level order.**  The DP is bottom-up, so nodes of equal subtree height
+are independent.  A top-down pre-pass walks the tree depth-first without
+merging: it makes the store lookups and the ``load > W`` checks in
+pre-visit order (so store counters and the failing node of an
+:class:`~repro.exceptions.InfeasibleError` are those of a depth-first
+solve) and lists the nodes to compute by height, each level in
+post-visit order.  Then,
+height by height, every node folds its leading leaf run, and each step
+merges "the k-th remaining child" of every unfinished node of the level
+at once (:class:`_MergeStep`): one stacked row space of the children's
+placed and passed fronts, one sweep of all their flow-0 pools, one
+gathered candidate build, one sweep over every ``(node, flow)`` bucket
+and one provenance append with a per-row node column.  Each node keeps
+its own candidate, bucket and flow-key order, so pairs, witnesses and
+counters do not depend on which nodes share a step (only the numbering
+of provenance ids does).  A level of one node (a delta's root path)
+runs the same step.
+
 **Leaf-run fold.**  Paper trees are mostly leaves, and a leaf's table is
 one base label at flow = its load, which the general merge would push
 through a dozen numpy calls.  So each node folds the *leading run* of
@@ -86,7 +104,12 @@ exactly:
 
 With a front store, nothing inside a run is published: a run that
 internal children follow gets one prefix entry, keyed by the usual
-``prefix_key`` chain over its leaf codes.
+``prefix_key`` chain over its leaf codes.  A node's resume point is the
+longest prefix retained when its level starts, and prefix entries are
+published step by step in post-visit order, so the first node of a
+level in that order publishes a shared key.  A node whose table key an
+earlier post-visit of the same solve computes is a store hit on that
+table, looked up once its level is published.
 
 On top of the merge, the kernel has structural fast paths the
 reference deliberately lacks: identity skips for empty subtrees,
@@ -111,6 +134,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -200,9 +224,12 @@ class _ProvLog:
         a_ids: NDArray[np.int64],
         b_ids: NDArray[np.int64],
         mode_col: NDArray[np.int64],
-        node: int,
+        node: int | NDArray[np.int64],
     ) -> NDArray[np.int64]:
-        """Batch-append merge entries; mode -1 = pure pass, else place."""
+        """Batch-append merge entries; mode -1 = pure pass, else place.
+
+        ``node`` is the merged child, one for all rows or one per row.
+        """
         start = len(self.kind)
         n = int(mode_col.shape[0])
         self.kind.frombytes(
@@ -210,7 +237,10 @@ class _ProvLog:
         )
         self.a.frombytes(a_ids.astype(np.int64, copy=False).tobytes())
         self.b.frombytes(b_ids.astype(np.int64, copy=False).tobytes())
-        self.node.extend(array("q", [node]) * n)
+        if isinstance(node, int):
+            self.node.extend(array("q", [node]) * n)
+        else:
+            self.node.frombytes(node.astype(np.int64, copy=False).tobytes())
         self.mode.frombytes(mode_col.astype(np.int64, copy=False).tobytes())
         return np.arange(start, start + n, dtype=np.int64)
 
@@ -654,6 +684,489 @@ class _RunFold:
         return out, acc_is_base
 
 
+def _ranges(starts: Sequence[int], lengths: Sequence[int]) -> NDArray[np.intp]:
+    """``arange(s, s + n)`` for every ``(s, n)`` pair, concatenated."""
+    if len(starts) == 1:
+        return np.arange(starts[0], starts[0] + lengths[0], dtype=np.intp)
+    lens = np.asarray(lengths, dtype=np.intp)
+    offsets = np.asarray(starts, dtype=np.intp) - (np.cumsum(lens) - lens)
+    return np.arange(int(lens.sum()), dtype=np.intp) + np.repeat(offsets, lens)
+
+
+def _cat(parts: list[Any], dtype: Any = np.float64) -> NDArray[Any]:
+    """``np.concatenate`` that also takes an empty list (a single part
+    comes back as it is: columns are never written in place)."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
+#: An operand block of a merge bucket: (acc start, acc rows, option
+#: start, option rows, child), starts into the step's flat columns.
+_Block = tuple[int, int, int, int, int]
+
+
+def _large_bucket(
+    blks: Sequence[_Block],
+    a_cols: tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.int64]],
+    o_cols: tuple[
+        NDArray[np.float64], NDArray[np.float64], NDArray[np.int64], NDArray[np.int64]
+    ],
+    prov: _ProvLog,
+) -> _Front:
+    """Sweep one bucket above ``_FILTER_LIMIT`` candidates on its own.
+
+    ``blks`` are ``(acc start, acc rows, option start, option rows,
+    child)`` operand blocks into the step's accumulator and option
+    columns.  Candidate columns are broadcast *outer adds* over
+    contiguous operand slices (accumulator operand first), run through
+    the certain-reject prefilter, then swept.
+    """
+    a_g, a_p, a_prov = a_cols
+    o_g, o_p, o_src, o_mode = o_cols
+    cg = np.concatenate(
+        [(a_g[s : s + n, None] + o_g[o : o + m]).ravel() for s, n, o, m, _ in blks]
+    )
+    cp = np.concatenate(
+        [(a_p[s : s + n, None] + o_p[o : o + m]).ravel() for s, n, o, m, _ in blks]
+    )
+    # Certain-reject prefilter.  The sweep's running best is sandwiched
+    # within _EPS of the strict prefix-min of p, so any same-bucket
+    # candidate with strictly smaller g and p' <= p *certainly* rejects
+    # this one (rejections never move the threshold, so dropping them is
+    # exact).  Pilot envelope: each block's edge candidates (its full last
+    # accumulator row and last option column — scalar-shifted slices,
+    # elementwise identical to the broadcast values) plus a coarse stride
+    # sample, g-sorted under a cumulative min — the dominated interior
+    # mass dies against it before the expensive lexsort ever sees it.
+    pg = np.concatenate(
+        [a_g[s : s + n] + o_g[o + m - 1] for s, n, o, m, _ in blks]
+        + [a_g[s + n - 1] + o_g[o : o + m] for s, n, o, m, _ in blks]
+        + [cg[::_PILOT_STRIDE]]
+    )
+    pp = np.concatenate(
+        [a_p[s : s + n] + o_p[o + m - 1] for s, n, o, m, _ in blks]
+        + [a_p[s + n - 1] + o_p[o : o + m] for s, n, o, m, _ in blks]
+        + [cp[::_PILOT_STRIDE]]
+    )
+    porder = np.argsort(pg, kind="stable")
+    pgs = pg[porder]
+    env = np.minimum.accumulate(pp[porder])
+    pos_col = np.searchsorted(pgs, cg, side="left") - 1
+    rej = pos_col >= 0
+    rej[rej] = env[pos_col[rej]] <= cp[rej]
+    surv = np.flatnonzero(~rej)
+    sel_s, _ = _sweep(cg[surv], cp[surv], (int(surv.shape[0]),))
+    sel = surv[sel_s]
+
+    # Decode the kept flat positions back to operand indices.
+    blk = np.asarray(blks, dtype=np.int64)
+    bsizes = blk[:, 1] * blk[:, 3]
+    bcum = np.concatenate(([0], np.cumsum(bsizes)))
+    bidx = np.searchsorted(bcum, sel, side="right") - 1
+    intra = sel - bcum[bidx]
+    ia_sel = blk[bidx, 0] + intra // blk[bidx, 3]
+    io_sel = blk[bidx, 2] + intra % blk[bidx, 3]
+    return (
+        cg[sel],
+        cp[sel],
+        prov.append_merges(
+            a_prov[ia_sel], o_src[io_sel], o_mode[io_sel], blks[0][4]
+        ),
+    )
+
+
+@dataclass(slots=True)
+class _Fold:
+    """One node's child fold in progress.
+
+    ``acc`` is the accumulator over ``kids[:i]``; ``first`` is where the
+    fold started (after a retained prefix), ``prefix_key`` the store key
+    of ``kids[:i - 1]`` and ``published`` the last accumulator retained.
+    """
+
+    node: int
+    load: int
+    kids: Sequence[int]
+    i: int
+    first: int
+    acc: dict[int, _Front]
+    acc_is_base: bool
+    prefix_key: int
+    published: dict[int, _Front]
+
+
+@dataclass
+class _MergeStep:
+    """Per-solve constants and counters of the batched child merges.
+
+    :meth:`run` merges one child into each of several independent folds
+    — one step of one tree level — with one set of numpy calls for all
+    of them.  Per fold, it is exactly the per-child merge: the same
+    candidates in the same bucket order, the same float adds, sweeps and
+    counters.
+    """
+
+    pre: Mapping[int, int]
+    reuse_dg: Mapping[int, list[float]]
+    create_dg: list[float]
+    caps: Sequence[int]
+    mode_power: list[float]
+    alias_p: float
+    w_max: int
+    prov: _ProvLog
+    stats: ParetoDPStats | None
+    merges: int = 0
+    labels_created: int = 0
+    labels_generated: int = 0
+    merge_rejected: int = 0
+
+    def run(self, items: Sequence[tuple[_Fold, int, Mapping[int, _Front]]]) -> None:
+        """Merge ``child``'s table into ``fold.acc`` for every item.
+
+        Each child offers, per flow, to pass its front up unchanged or
+        to host a replica at the flow's mode (landing on flow 0); the
+        flow-0 *pool* of placed rows plus the passed flow-0 front is
+        swept first.  The children's rows live in one stacked row space —
+        every pool, then the fronts passed up — and each fold's options
+        index into it.  Options are virtual: provenance is allocated only
+        for kept merge rows, in one batch.
+        """
+        pre, alias_p, w_max, stats = self.pre, self.alias_p, self.w_max, self.stats
+        caps, mode_power = self.caps, self.mode_power
+
+        # Identity merges (an empty, placement-free child) change nothing;
+        # every other child's fronts are flattened once for the step.
+        work: list[tuple[_Fold, int, Mapping[int, _Front], list[int], int]] = []
+        c_g: list[NDArray[np.float64]] = []
+        c_p: list[NDArray[np.float64]] = []
+        c_v: list[NDArray[np.int64]] = []
+        f_dg: list[float] = []
+        f_mp: list[float] = []
+        f_mode: list[int] = []
+        f_len: list[int] = []
+        for fold, child, table in items:
+            dg = self.reuse_dg[pre[child]] if child in pre else self.create_dg
+            if len(table) == 1:
+                zf = table.get(0)
+                if (
+                    zf is not None
+                    and len(zf[0]) == 1
+                    # alias_p is a copied sentinel, compared bit-for-bit,
+                    # never computed — audited equality.
+                    # repro-lint: ignore[float-eq]
+                    and zf[1][0] == alias_p
+                    and dg[0] >= 0.0
+                ):
+                    self.merges += 1
+                    if stats is not None:
+                        self.labels_created += sum(
+                            len(front[0]) for front in fold.acc.values()
+                        )
+                        stats.record_table(_front_sizes(fold.acc))
+                    continue
+            flows = list(table)
+            work.append((fold, child, table, flows, len(f_len)))
+            for f in flows:
+                g, p, v = table[f]
+                m = bisect_left(caps, f)
+                c_g.append(g)
+                c_p.append(p)
+                c_v.append(v)
+                f_dg.append(dg[m])
+                f_mp.append(mode_power[m])
+                f_mode.append(m)
+                f_len.append(int(g.shape[0]))
+        if not work:
+            return
+        starts = list(accumulate(f_len, initial=0))
+        seg = np.asarray(f_len, dtype=np.intp)
+        front_v = _cat(c_v, np.int64)
+        # Every front placed at its flow's mode (front operand first).
+        placed_g = _cat(c_g) + np.repeat(np.asarray(f_dg), seg)
+        placed_p = _cat(c_p) + np.repeat(np.asarray(f_mp), seg)
+
+        # The step's stacked row space.  First each child's flow-0 pool —
+        # every front placed, plus the flow-0 front passed — so the pools
+        # are consecutive buckets of one sweep; then the fronts the
+        # general merges pass up, whose rows are option rows as they are.
+        parts_g: list[NDArray[np.float64]] = []
+        parts_p: list[NDArray[np.float64]] = []
+        parts_v: list[NDArray[np.int64]] = []
+        mode_val: list[int] = []
+        mode_len: list[int] = []
+        pool_n: list[int] = []
+        for _, _, table, flows, k in work:
+            lo, hi = starts[k], starts[k + len(flows)]
+            parts_g.append(placed_g[lo:hi])
+            parts_p.append(placed_p[lo:hi])
+            parts_v.append(front_v[lo:hi])
+            mode_val += f_mode[k : k + len(flows)]
+            mode_len += f_len[k : k + len(flows)]
+            zf = table.get(0)
+            if zf is not None:
+                parts_g.append(zf[0])
+                parts_p.append(zf[1])
+                parts_v.append(zf[2])
+                mode_val.append(-1)
+                mode_len.append(int(zf[0].shape[0]))
+                hi += int(zf[0].shape[0])
+            pool_n.append(hi - lo)
+        n_pool = sum(pool_n)
+        # Option rows: the passed fronts (by their position in this
+        # region), then every pool's swept rows.
+        o_starts: list[dict[int, int]] = []
+        o_pos = 0
+        for fold, _, table, _, _ in work:
+            o_start: dict[int, int] = {}
+            o_starts.append(o_start)
+            if fold.acc_is_base:
+                continue
+            for f, front in table.items():
+                if f:
+                    o_start[f] = o_pos
+                    o_pos += int(front[0].shape[0])
+                    parts_g.append(front[0])
+                    parts_p.append(front[1])
+                    parts_v.append(front[2])
+        mode_val.append(-1)
+        mode_len.append(o_pos)
+        s_g = _cat(parts_g)
+        s_p = _cat(parts_p)
+        s_v = _cat(parts_v, np.int64)
+        s_mode = np.repeat(np.asarray(mode_val, dtype=np.int64), mode_len)
+        sel, pool_ends = _sweep(s_g[:n_pool], s_p[:n_pool], pool_n)
+        opt_rows = np.concatenate(
+            (np.arange(n_pool, n_pool + o_pos, dtype=np.intp), sel)
+        )
+
+        # Per fold, its output flows in the per-child merge's dict order.
+        # A result is a shared front, or a slot filled below from one of
+        # three batches: operand blocks (swept buckets, then shifted
+        # copies), option rows kept verbatim, and large buckets.
+        results: list[_Front | None] = []
+        layouts: list[tuple[_Fold, list[tuple[int, int]]]] = []
+        swept: list[tuple[int, list[_Block], int]] = []
+        copies: list[tuple[int, _Block]] = []
+        verbatim: list[tuple[int, int, int, int, int]] = []
+        large: list[tuple[int, list[_Block], int]] = []
+        acc_g: list[NDArray[np.float64]] = []
+        acc_p: list[NDArray[np.float64]] = []
+        acc_v: list[NDArray[np.int64]] = []
+        a_pos = 0
+        kept = 0
+        for w, (fold, child, table, _, _) in enumerate(work):
+            z_lo, z_n = o_pos + kept, pool_ends[w] - kept
+            kept = pool_ends[w]
+            acc, load = fold.acc, fold.load
+            entries: list[tuple[int, int]] = []
+            layouts.append((fold, entries))
+            if fold.acc_is_base:
+                # First effective merge: the accumulator is the bare base
+                # label, so pass fronts alias wholesale (shifted to
+                # flow + load); only the pool needed a sweep.
+                fold.acc_is_base = False
+                created = pool_n[w]
+                for f, front in table.items():
+                    if f and f + load <= w_max:
+                        entries.append((f + load, len(results)))
+                        results.append(front)
+                        created += len(front[0])
+                if stats is not None:
+                    self.labels_created += created
+                if pool_n[w]:
+                    entries.append((load, len(results)))
+                    verbatim.append((len(results), z_lo, z_n, 0, child))
+                    results.append(None)
+                continue
+
+            # General merge.  Options per child flow: pass the front
+            # unchanged (mode -1), or the swept flow-0 pool.
+            a_start: dict[int, int] = {}
+            for f1, front in acc.items():
+                a_start[f1] = a_pos
+                a_pos += int(front[0].shape[0])
+                acc_g.append(front[0])
+                acc_p.append(front[1])
+                acc_v.append(front[2])
+            o_start = o_starts[w]
+            o_start[0] = z_lo
+
+            out_pairs: dict[int, list[tuple[int, int]]] = {}
+            for f1 in acc:
+                for f2 in o_start:
+                    f = f1 + f2
+                    if f <= w_max:
+                        prs = out_pairs.get(f)
+                        if prs is None:
+                            out_pairs[f] = [(f1, f2)]
+                        else:
+                            prs.append((f1, f2))
+
+            late: list[tuple[int, int]] = []
+            for f, prs in out_pairs.items():
+                r = len(results)
+                results.append(None)
+                if len(prs) == 1:
+                    f1, f2 = prs[0]
+                    front_a = acc[f1]
+                    la = int(front_a[0].shape[0])
+                    lb = len(table[f2][0]) if f2 else z_n
+                    self.labels_created += la * lb
+                    if la == 1:
+                        entries.append((f, r))
+                        # repro-lint: ignore[float-eq] — audited sentinel.
+                        if float(front_a[1][0]) == alias_p:
+                            # Placement-free accumulator label: merging is
+                            # the identity on the options — alias pass
+                            # fronts, allocate only for placed pool rows.
+                            if f2:
+                                results[r] = table[f2]
+                            else:
+                                aprov0 = int(front_a[2][0])
+                                verbatim.append((r, z_lo, z_n, aprov0, child))
+                        else:
+                            # Singleton accumulator: shifted copy.
+                            self.labels_generated += lb
+                            copies.append((r, (a_start[f1], 1, o_start[f2], lb, child)))
+                        continue
+                    if lb == 1:
+                        entries.append((f, r))
+                        row = int(opt_rows[o_start[f2]])
+                        # repro-lint: ignore[float-eq] — audited sentinel.
+                        if s_p[row] == alias_p and s_mode[row] < 0:
+                            results[r] = front_a
+                        else:
+                            # Singleton option: shifted copy along the
+                            # accumulator front.
+                            self.labels_generated += la
+                            copies.append((r, (a_start[f1], la, o_start[f2], 1, child)))
+                        continue
+                    blks = [(a_start[f1], la, o_start[f2], lb, child)]
+                    total = la * lb
+                else:
+                    blks = []
+                    total = 0
+                    for f1, f2 in prs:
+                        la = int(acc[f1][0].shape[0])
+                        lb = len(table[f2][0]) if f2 else z_n
+                        total += la * lb
+                        blks.append((a_start[f1], la, o_start[f2], lb, child))
+                    self.labels_created += total
+                late.append((f, r))
+                (large if total > _FILTER_LIMIT else swept).append((r, blks, total))
+            entries += late
+
+        a_g = _cat(acc_g)
+        a_p = _cat(acc_p)
+        a_v = _cat(acc_v, np.int64)
+
+        # Operand blocks: one gathered (accumulator row, option) build —
+        # acc operand first, the summation-order contract — one sweep of
+        # the combinatorial buckets (ties keep their within-bucket order;
+        # shifted copies keep every row) ...
+        blocks = [blk for _, blks, _ in swept for blk in blks]
+        blocks += [blk for _, blk in copies]
+        # A step of one node appends every row for that child.
+        node: int | None = work[0][1] if len(work) == 1 else None
+        a_ids: list[NDArray[np.int64]] = []
+        b_ids: list[NDArray[np.int64]] = []
+        modes: list[NDArray[np.int64]] = []
+        nodes: list[NDArray[np.int64]] = []
+        n_keep = 0
+        if blocks:
+            blk = np.asarray(blocks, dtype=np.intp)
+            a_lo, a_n, o_lo, o_n = blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3]
+            # Row-major blocks: one run of its option rows per accumulator
+            # row, in block order.
+            run_len = np.repeat(o_n, a_n)
+            n_cand = int(run_len.sum())
+            ia = np.repeat(_ranges(a_lo, a_n), run_len)
+            io = opt_rows[
+                np.arange(n_cand)
+                + np.repeat(np.repeat(o_lo, a_n) - (np.cumsum(run_len) - run_len), run_len)
+            ]
+            cg = a_g[ia] + s_g[io]
+            cp = a_p[ia] + s_p[io]
+            n_sw = sum(total for _, _, total in swept)
+            if swept:
+                sel, ends = _sweep(
+                    cg[:n_sw], cp[:n_sw], [total for _, _, total in swept]
+                )
+                keep = np.concatenate((sel, np.arange(n_sw, n_cand)))
+                self.labels_generated += n_sw
+                self.merge_rejected += n_sw - int(sel.shape[0])
+            else:
+                ends = []
+                keep = np.arange(n_cand)
+            n_keep = int(keep.shape[0])
+            ia = ia[keep]
+            io = io[keep]
+            a_ids.append(a_v[ia])
+            b_ids.append(s_v[io])
+            modes.append(s_mode[io])
+            if node is None:
+                nodes.append(np.repeat(blk[:, 4], a_n * o_n)[keep])
+        # ... option rows kept as they are (a placement-free accumulator
+        # label), new provenance only for their placed rows ...
+        if verbatim:
+            v_len = [n for _, _, n, _, _ in verbatim]
+            v_rows = opt_rows[_ranges([lo for _, lo, _, _, _ in verbatim], v_len)]
+            v_mode = s_mode[v_rows]
+            placed = np.flatnonzero(v_mode >= 0)
+            a_ids.append(np.repeat(np.asarray([a for *_, a, _ in verbatim]), v_len)[placed])
+            b_ids.append(s_v[v_rows[placed]])
+            modes.append(v_mode[placed])
+            if node is None:
+                nodes.append(
+                    np.repeat(np.asarray([c for *_, c in verbatim]), v_len)[placed]
+                )
+            self.labels_generated += int(placed.shape[0])
+        # ... and one provenance append for every new row of the step.
+        if a_ids:
+            ids = self.prov.append_merges(
+                _cat(a_ids),
+                _cat(b_ids),
+                _cat(modes),
+                _cat(nodes, np.int64) if node is None else node,
+            )
+        if blocks:
+            kept_g = cg[keep]
+            kept_p = cp[keep]
+            lo = 0
+            for (r, _, _), hi in zip(swept, ends, strict=True):
+                results[r] = (kept_g[lo:hi], kept_p[lo:hi], ids[lo:hi])
+                lo = hi
+            for r, (_, la, _, lb, _) in copies:
+                hi = lo + la * lb
+                results[r] = (kept_g[lo:hi], kept_p[lo:hi], ids[lo:hi])
+                lo = hi
+        if verbatim:
+            v_v = s_v[v_rows]
+            v_v[placed] = ids[n_keep:]
+            v_g = s_g[v_rows]
+            v_p = s_p[v_rows]
+            lo = 0
+            for r, _, n, _, _ in verbatim:
+                results[r] = (v_g[lo : lo + n], v_p[lo : lo + n], v_v[lo : lo + n])
+                lo += n
+        # Larger buckets, one at a time, through the prefilter.
+        if large:
+            o_cols = (s_g[opt_rows], s_p[opt_rows], s_v[opt_rows], s_mode[opt_rows])
+            for r, blks, total in large:
+                front = _large_bucket(blks, (a_g, a_p, a_v), o_cols, self.prov)
+                self.labels_generated += total
+                self.merge_rejected += total - int(front[0].shape[0])
+                results[r] = front
+
+        for fold, entries in layouts:
+            merged = {f: results[r] for f, r in entries}
+            self.merges += 1
+            if stats is not None:
+                stats.record_table(_front_sizes(merged))
+            fold.acc = merged  # type: ignore[assignment]
+
+
 def power_frontier_array(
     tree: Tree,
     power_model: PowerModel,
@@ -723,10 +1236,6 @@ def power_frontier_array(
         sub = front_store.codes_for(tree, pre)
         codes, table_keys = sub.codes, sub.table_keys
 
-    merges = 0
-    labels_created = 0
-    labels_generated = 0
-    merge_rejected_n = 0
     memo_hits = 0
     memo_misses = 0
     memo_shared = 0
@@ -746,497 +1255,161 @@ def power_frontier_array(
         loads, pre, reuse_dg, create_dg, caps, mode_power, alias_p, w_max,
         prov, stats,
     )
+    step = _MergeStep(
+        pre, reuse_dg, create_dg, caps, mode_power, alias_p, w_max, prov, stats
+    )
     # A node's computed table, or a (representative table, iso) pair for
     # a store hit whose alias rows are deferred to the consuming fold.
     tables: list[dict[int, _Front] | tuple[Mapping[int, _Front], Any] | None]
     tables = [None] * tree.n_nodes
-    int64 = np.int64
-    neg_one = np.int64(-1)
 
+    # Pre-pass: a depth-first walk without merging.  It makes the store
+    # lookups and load checks in pre-visit order and lists the nodes to
+    # compute by height (leaves and store hits are 0), each level in
+    # post-visit order.  A node whose table key a post-visit earlier in
+    # the walk computes is a store hit on that node's table: its lookup
+    # waits until that level is published.
+    height = [0] * tree.n_nodes
+    levels: list[list[int]] = [[]]
+    holders: dict[int, int] = {}
+    deferred: list[list[int]] = [[]]
     stack: list[int] = [tree.root]
     while stack:
         j = stack.pop()
-        if j >= 0:
-            kids = children(j)
-            if kids and front_store is not None:
-                entry = front_store.lookup(table_keys[j])
-                if entry is not None:
-                    # Aliased only when the parent's fold consumes it: a
-                    # child that a retained parent prefix covers never
-                    # pays for its alias rows.  The lazy iso materialises
-                    # only if a placement is reconstructed through it
-                    # (keeps store hits O(fronts), not O(subtree)).
-                    tables[j] = (
-                        entry.table,
-                        front_store.make_iso(entry, tree, codes, j),
-                    )
-                    memo_hits += 1
-                    if stats is not None:
-                        memo_shared += sum(
-                            len(front[0]) for front in entry.table.values()
-                        )
-                    continue
-                memo_misses += 1
-            load = loads[j]
-            if load > w_max:
-                raise InfeasibleError(
-                    f"direct client load {load} at node {j} exceeds W={w_max}",
-                    node=j,
-                )
-            if not kids:
-                tables[j] = {load: _BASE_FRONT}
-                continue
-            stack.append(~j)
-            stack.extend(kids)
+        if j < 0:
+            j = ~j
+            h = 1 + max(height[c] for c in children(j))
+            height[j] = h
+            if h == len(levels):
+                levels.append([])
+                deferred.append([])
+            levels[h].append(j)
+            if front_store is not None:
+                holders[table_keys[j]] = j
             continue
-
-        # Post-visit: fold the children into this node.
-        j = ~j
-        load = loads[j]
         kids = children(j)
-        acc: dict[int, _Front] = {load: _BASE_FRONT}
-        acc_is_base = True
-        first = 0
-        prefix_key = 0
-        if front_store is not None:
-            # Resume after the longest retained child prefix (the full
-            # fold is the node's own table, so the last child is never
-            # part of a prefix key).
-            first, prefix_key, prefix_entry = front_store.longest_prefix(
-                load, [codes[c] for c in kids[:-1]]
-            )
-            if prefix_entry is not None:
-                acc = _alias_table(
-                    prov,
-                    prefix_entry.table,
-                    front_store.make_iso(prefix_entry, tree, codes, j),
-                )
-                acc_is_base = False
-        published_acc = acc
-        # The leading run of childless children folds on plain lists; the
-        # general path below takes the remaining children.
-        run = _leading_run(children, kids)
-        if first < run:
-            if front_store is not None and run < len(kids):
-                # Chain the prefix key over the run but its last leaf; the
-                # loop's first step adds that one and publishes the run.
-                for c in kids[first : run - 1]:
-                    prefix_key = front_store.prefix_key(prefix_key, codes[c])
-            acc, acc_is_base = run_fold.fold(kids[first:run], acc, acc_is_base, load)
-        for i in range(max(first, run), len(kids)):
-            if front_store is not None and i > first:
-                # Retain the accumulator over kids[:i] (skipped when the
-                # previous child was an identity merge: nothing changed).
-                prefix_key = front_store.prefix_key(prefix_key, codes[kids[i - 1]])
-                if acc is not published_acc:
-                    front_store.publish(
-                        prefix_key,
-                        tree,
-                        codes,
-                        j,
-                        acc,
-                        sum(int(front[0].shape[0]) for front in acc.values()),
-                        prefix=i,
-                    )
-                    published_acc = acc
-            child = kids[i]
-            child_table = tables[child]
-            tables[child] = None
-            if isinstance(child_table, tuple):
-                child_table = _alias_table(prov, *child_table)
-            assert child_table is not None
-            dg_by_mode = reuse_dg[pre[child]] if child in pre else create_dg
-
-            # Identity fast path: an empty subtree contributes nothing.
-            if len(child_table) == 1:
-                zf = child_table.get(0)
-                if (
-                    zf is not None
-                    and len(zf[0]) == 1
-                    # alias_p is a copied sentinel, compared bit-for-bit,
-                    # never computed — audited equality.
-                    # repro-lint: ignore[float-eq]
-                    and zf[1][0] == alias_p
-                    and dg_by_mode[0] >= 0.0
-                ):
-                    merges += 1
-                    if stats is not None:
-                        labels_created += sum(
-                            len(front[0]) for front in acc.values()
-                        )
-                        stats.record_table(_front_sizes(acc))
-                    continue
-
-            # Flatten the child's fronts once: every merge path below
-            # consumes the same placed/pass candidate columns.
-            flows = list(child_table)
-            fronts = [child_table[f] for f in flows]
-            seg_len = [int(front[0].shape[0]) for front in fronts]
-            if len(fronts) == 1:
-                c_g, c_p, c_prov = fronts[0]
-            elif fronts:
-                c_g = np.concatenate([front[0] for front in fronts])
-                c_p = np.concatenate([front[1] for front in fronts])
-                c_prov = np.concatenate([front[2] for front in fronts])
-            else:
-                # Child overflowed W_M everywhere (infeasible below): its
-                # table is empty, but the merge still runs for the stats
-                # mirror — every downstream column is empty.
-                c_g = np.empty(0)
-                c_p = np.empty(0)
-                c_prov = np.empty(0, dtype=int64)
-            mode_by_flow = [bisect_left(caps, f) for f in flows]
-            seg_rep = np.repeat(np.arange(len(flows)), seg_len)
-            placed_g_col = c_g + np.asarray(
-                [dg_by_mode[m] for m in mode_by_flow]
-            )[seg_rep]
-            placed_p_col = c_p + np.asarray(
-                [mode_power[m] for m in mode_by_flow]
-            )[seg_rep]
-            placed_mode_col = np.asarray(mode_by_flow, dtype=int64)[seg_rep]
-
-            # The pool of flow-0 candidates: every front placed (landing
-            # on flow 0), plus the passed flow-0 front if there is one.
-            if 0 in child_table:
-                zf0 = child_table[0]
-                pool_g_col = np.concatenate((placed_g_col, zf0[0]))
-                pool_p_col = np.concatenate((placed_p_col, zf0[1]))
-                pool_src = np.concatenate((c_prov, zf0[2]))
-                pool_mode_col = np.concatenate(
-                    (placed_mode_col, np.full(len(zf0[0]), neg_one))
-                )
-            else:
-                pool_g_col = placed_g_col
-                pool_p_col = placed_p_col
-                pool_src = c_prov
-                pool_mode_col = placed_mode_col
-            pool_n = int(pool_g_col.shape[0])
-
-            if acc_is_base:
-                # First effective merge: the accumulator is the bare base
-                # label, so pass fronts alias wholesale (shifted to
-                # flow + load); only the pool needs a sweep.
-                acc_is_base = False
-                merged: dict[int, _Front] = {}
-                for f, front in child_table.items():
-                    if f:
-                        ff = f + load
-                        if ff <= w_max:
-                            merged[ff] = front
-                if stats is not None:
-                    labels_created += pool_n + sum(
-                        len(front[0]) for front in merged.values()
-                    )
-                if pool_n:
-                    if pool_n > 1:
-                        sel, _ = _sweep(pool_g_col, pool_p_col, (pool_n,))
-                    else:
-                        sel = np.zeros(1, dtype=np.intp)
-                    kept_g = pool_g_col[sel]
-                    kept_p = pool_p_col[sel]
-                    kept_src = pool_src[sel]
-                    kept_mode = pool_mode_col[sel]
-                    placed_sel = np.flatnonzero(kept_mode >= 0)
-                    prov_col = kept_src.copy()
-                    if placed_sel.shape[0]:
-                        prov_col[placed_sel] = prov.append_merges(
-                            np.zeros(placed_sel.shape[0], dtype=int64),
-                            kept_src[placed_sel],
-                            kept_mode[placed_sel],
-                            child,
-                        )
-                        labels_generated += int(placed_sel.shape[0])
-                    merged[load] = (kept_g, kept_p, prov_col)
-                merges += 1
-                if stats is not None:
-                    stats.record_table(_front_sizes(merged))
-                acc = merged
+        if kids and front_store is not None:
+            holder = holders.get(table_keys[j])
+            if holder is not None:
+                height[j] = height[holder]
+                deferred[height[holder]].append(j)
                 continue
-
-            # General merge.  Options per child flow: pass the front
-            # unchanged (mode -1), or the swept flow-0 pool.  Options are
-            # virtual — provenance is allocated only for accepted merges.
-            if pool_n > 1:
-                sel, _ = _sweep(pool_g_col, pool_p_col, (pool_n,))
-                opt0 = (
-                    pool_g_col[sel],
-                    pool_p_col[sel],
-                    pool_src[sel],
-                    pool_mode_col[sel],
-                )
-            else:
-                opt0 = (pool_g_col, pool_p_col, pool_src, pool_mode_col)
-            options: dict[int, tuple] = {
-                f: child_table[f] for f in flows if f
-            }
-            options[0] = opt0
-
-            # Flatten accumulator and options for the batched candidate
-            # build (offsets feed the gather-index arithmetic below).
-            acc_flows = list(acc)
-            a_start: dict[int, int] = {}
-            pos = 0
-            for f1 in acc_flows:
-                a_start[f1] = pos
-                pos += int(acc[f1][0].shape[0])
-            if len(acc_flows) == 1:
-                a_g, a_p, a_prov = acc[acc_flows[0]]
-            elif acc_flows:
-                a_g = np.concatenate([acc[f1][0] for f1 in acc_flows])
-                a_p = np.concatenate([acc[f1][1] for f1 in acc_flows])
-                a_prov = np.concatenate([acc[f1][2] for f1 in acc_flows])
-            else:
-                a_g = np.empty(0)
-                a_p = np.empty(0)
-                a_prov = np.empty(0, dtype=int64)
-            o_start: dict[int, int] = {}
-            pos = 0
-            opt_flows = list(options)
-            for f2 in opt_flows:
-                o_start[f2] = pos
-                pos += int(options[f2][0].shape[0])
-            o_total = pos
-            o_g = np.concatenate([options[f2][0] for f2 in opt_flows])
-            o_p = np.concatenate([options[f2][1] for f2 in opt_flows])
-            o_src = np.concatenate([options[f2][2] for f2 in opt_flows])
-            o_mode = np.full(o_total, neg_one)
-            z0, zn = o_start[0], int(opt0[0].shape[0])
-            o_mode[z0 : z0 + zn] = opt0[3]
-
-            out_pairs: dict[int, list[tuple[int, int]]] = {}
-            for f1 in acc_flows:
-                for f2 in opt_flows:
-                    f = f1 + f2
-                    if f <= w_max:
-                        prs = out_pairs.get(f)
-                        if prs is None:
-                            out_pairs[f] = [(f1, f2)]
-                        else:
-                            prs.append((f1, f2))
-
-            merged = {}
-            #: (flow, operand blocks, candidate count) per combinatorial bucket.
-            buckets: list[tuple[int, list[tuple[int, int, int, int]], int]] = []
-            for f, prs in out_pairs.items():
-                if len(prs) == 1:
-                    f1, f2 = prs[0]
-                    front_a = acc[f1]
-                    la = int(front_a[0].shape[0])
-                    has_modes = f2 == 0
-                    opt = options[f2]
-                    lb = int(opt[0].shape[0])
-                    labels_created += la * lb
-                    if la == 1:
-                        # Singleton accumulator: shifted copy (or alias).
-                        g0 = float(front_a[0][0])
-                        p0 = float(front_a[1][0])
-                        aprov0 = int(front_a[2][0])
-                        # repro-lint: ignore[float-eq] — audited sentinel.
-                        if p0 == alias_p:
-                            # Placement-free accumulator label: merging is
-                            # the identity on the options — alias pass
-                            # rows, allocate only for placed entries.
-                            if has_modes:
-                                og_col, op_col, osrc, omode_col = opt
-                                placed_sel = np.flatnonzero(omode_col >= 0)
-                                prov_col = osrc.copy()
-                                if placed_sel.shape[0]:
-                                    prov_col[placed_sel] = prov.append_merges(
-                                        np.full(
-                                            placed_sel.shape[0],
-                                            aprov0,
-                                            dtype=int64,
-                                        ),
-                                        osrc[placed_sel],
-                                        omode_col[placed_sel],
-                                        child,
-                                    )
-                                    labels_generated += int(
-                                        placed_sel.shape[0]
-                                    )
-                                merged[f] = (og_col, op_col, prov_col)
-                            else:
-                                merged[f] = (opt[0], opt[1], opt[2])
-                        else:
-                            labels_generated += lb
-                            mode_col = (
-                                opt[3]
-                                if has_modes
-                                else np.full(lb, neg_one)
-                            )
-                            merged[f] = (
-                                g0 + opt[0],
-                                p0 + opt[1],
-                                prov.append_merges(
-                                    np.full(lb, aprov0, dtype=int64),
-                                    opt[2],
-                                    mode_col,
-                                    child,
-                                ),
-                            )
-                        continue
-                    if lb == 1:
-                        # Singleton option: shifted copy along the
-                        # accumulator front (or verbatim alias).
-                        g1 = opt[0][0]
-                        p1 = opt[1][0]
-                        src1 = int(opt[2][0])
-                        m1 = int(opt[3][0]) if has_modes else -1
-                        # repro-lint: ignore[float-eq] — audited sentinel.
-                        if p1 == alias_p and m1 < 0:
-                            merged[f] = front_a
-                        else:
-                            labels_generated += la
-                            merged[f] = (
-                                front_a[0] + g1,
-                                front_a[1] + p1,
-                                prov.append_merges(
-                                    front_a[2],
-                                    np.full(la, src1, dtype=int64),
-                                    np.full(la, np.int64(m1)),
-                                    child,
-                                ),
-                            )
-                        continue
-                    buckets.append(
-                        (f, [(a_start[f1], la, o_start[f2], lb)], la * lb)
-                    )
-                    continue
-                total = 0
-                blks: list[tuple[int, int, int, int]] = []
-                for f1, f2 in prs:
-                    la = int(acc[f1][0].shape[0])
-                    lb = int(options[f2][0].shape[0])
-                    total += la * lb
-                    blks.append((a_start[f1], la, o_start[f2], lb))
-                labels_created += total
-                buckets.append((f, blks, total))
-
-            # Combinatorial buckets.  Every bucket at or below
-            # _FILTER_LIMIT candidates is merged in one batch: one set of
-            # gathered (accumulator row, option) columns — acc operand
-            # first, the summation-order contract — one bucket-major
-            # sweep (ties keep their within-bucket order) and one
-            # provenance append for every kept row, in bucket order.
-            swept: dict[int, _Front] = {}
-            small = [bk for bk in buckets if bk[2] <= _FILTER_LIMIT]
-            if small:
-                b_as_col, b_na_col, b_os_col, b_nb_col = np.asarray(
-                    [blk for _, blks, _ in small for blk in blks], dtype=int64
-                ).T
-                b_size_col = b_na_col * b_nb_col
-                n_cand = int(b_size_col.sum())
-                bid = np.repeat(np.arange(b_size_col.shape[0]), b_size_col)
-                intra = np.arange(n_cand) - (np.cumsum(b_size_col) - b_size_col)[bid]
-                nb_col = b_nb_col[bid]
-                ia = b_as_col[bid] + intra // nb_col
-                io = b_os_col[bid] + intra % nb_col
-                cg = a_g[ia] + o_g[io]
-                cp = a_p[ia] + o_p[io]
-                sel, bucket_ends = _sweep(cg, cp, [size for _, _, size in small])
-                ia_sel = ia[sel]
-                io_sel = io[sel]
-                kept_g = cg[sel]
-                kept_p = cp[sel]
-                kept_prov = prov.append_merges(
-                    a_prov[ia_sel], o_src[io_sel], o_mode[io_sel], child
-                )
-                labels_generated += n_cand
-                merge_rejected_n += n_cand - int(sel.shape[0])
-                lo = 0
-                for (f, _, _), hi in zip(small, bucket_ends, strict=True):
-                    swept[f] = (kept_g[lo:hi], kept_p[lo:hi], kept_prov[lo:hi])
-                    lo = hi
-
-            # Larger buckets, one at a time: candidate columns as broadcast
-            # *outer adds* over contiguous operand slices, through the
-            # certain-reject prefilter before the sort.
-            for f, blks, n_bucket in buckets:
-                if n_bucket <= _FILTER_LIMIT:
-                    continue
-                cg = np.concatenate(
-                    [
-                        (a_g[s : s + n, None] + o_g[o : o + m]).ravel()
-                        for s, n, o, m in blks
-                    ]
-                )
-                cp = np.concatenate(
-                    [
-                        (a_p[s : s + n, None] + o_p[o : o + m]).ravel()
-                        for s, n, o, m in blks
-                    ]
-                )
-                labels_generated += n_bucket
-
-                # Certain-reject prefilter.  The sweep's running best is
-                # sandwiched within _EPS of the strict prefix-min of p, so
-                # any same-bucket candidate with strictly smaller g and
-                # p' <= p *certainly* rejects this one (rejections never
-                # move the threshold, so dropping them is exact).  Pilot
-                # envelope: each block's edge candidates (its full last
-                # accumulator row and last option column — scalar-shifted
-                # slices, elementwise identical to the broadcast values)
-                # plus a coarse stride sample, g-sorted under a cumulative
-                # min — the dominated interior mass dies against it before
-                # the expensive lexsort ever sees it.
-                pg = np.concatenate(
-                    [a_g[s : s + n] + o_g[o + m - 1] for s, n, o, m in blks]
-                    + [a_g[s + n - 1] + o_g[o : o + m] for s, n, o, m in blks]
-                    + [cg[::_PILOT_STRIDE]]
-                )
-                pp = np.concatenate(
-                    [a_p[s : s + n] + o_p[o + m - 1] for s, n, o, m in blks]
-                    + [a_p[s + n - 1] + o_p[o : o + m] for s, n, o, m in blks]
-                    + [cp[::_PILOT_STRIDE]]
-                )
-                porder = np.argsort(pg, kind="stable")
-                pgs = pg[porder]
-                env = np.minimum.accumulate(pp[porder])
-                pos_col = np.searchsorted(pgs, cg, side="left") - 1
-                rej = pos_col >= 0
-                rej[rej] = env[pos_col[rej]] <= cp[rej]
-                surv = np.flatnonzero(~rej)
-                cg_s = cg[surv]
-                cp_s = cp[surv]
-
-                sel_s, _ = _sweep(cg_s, cp_s, (int(cg_s.shape[0]),))
-                sel = surv[sel_s]
-                merge_rejected_n += n_bucket - int(sel.shape[0])
-
-                # Decode the kept flat positions back to operand indices.
-                bsizes = np.asarray([n * m for _, n, _, m in blks], dtype=int64)
-                bcum = np.concatenate(([0], np.cumsum(bsizes)))
-                bidx = np.searchsorted(bcum, sel, side="right") - 1
-                intra = sel - bcum[bidx]
-                b_as_col = np.asarray([s for s, _, _, _ in blks], dtype=int64)
-                b_os_col = np.asarray([o for _, _, o, _ in blks], dtype=int64)
-                b_nb_col = np.asarray([m for _, _, _, m in blks], dtype=int64)
-                ia_sel = b_as_col[bidx] + intra // b_nb_col[bidx]
-                io_sel = b_os_col[bidx] + intra % b_nb_col[bidx]
-                swept[f] = (
-                    cg[sel],
-                    cp[sel],
-                    prov.append_merges(
-                        a_prov[ia_sel], o_src[io_sel], o_mode[io_sel], child
-                    ),
-                )
-            for f, _, _ in buckets:
-                merged[f] = swept[f]
-
-            merges += 1
-            if stats is not None:
-                stats.record_table(_front_sizes(merged))
-            acc = merged
-        tables[j] = acc
-        if front_store is not None:
-            front_store.publish(
-                table_keys[j],
-                tree,
-                codes,
-                j,
-                acc,
-                sum(int(front[0].shape[0]) for front in acc.values()),
+            entry = front_store.lookup(table_keys[j])
+            if entry is not None:
+                # Aliased only when the parent's fold consumes it: a
+                # child that a retained parent prefix covers never
+                # pays for its alias rows.  The lazy iso materialises
+                # only if a placement is reconstructed through it
+                # (keeps store hits O(fronts), not O(subtree)).
+                tables[j] = (entry.table, front_store.make_iso(entry, tree, codes, j))
+                memo_hits += 1
+                if stats is not None:
+                    memo_shared += sum(len(front[0]) for front in entry.table.values())
+                continue
+            memo_misses += 1
+        load = loads[j]
+        if load > w_max:
+            raise InfeasibleError(
+                f"direct client load {load} at node {j} exceeds W={w_max}",
+                node=j,
             )
+        if not kids:
+            tables[j] = {load: _BASE_FRONT}
+            continue
+        stack.append(~j)
+        stack.extend(kids)
+
+    # Level by level: the nodes of one height are independent, so each
+    # step merges the next child of every unfinished fold at once.
+    for h in range(1, len(levels)):
+        folds: list[_Fold] = []
+        for j in levels[h]:
+            load = loads[j]
+            kids = children(j)
+            acc: dict[int, _Front] = {load: _BASE_FRONT}
+            acc_is_base = True
+            first = 0
+            prefix_key = 0
+            if front_store is not None:
+                # Resume after the longest retained child prefix (the full
+                # fold is the node's own table, so the last child is never
+                # part of a prefix key).
+                first, prefix_key, prefix_entry = front_store.longest_prefix(
+                    load, [codes[c] for c in kids[:-1]]
+                )
+                if prefix_entry is not None:
+                    acc = _alias_table(
+                        prov,
+                        prefix_entry.table,
+                        front_store.make_iso(prefix_entry, tree, codes, j),
+                    )
+                    acc_is_base = False
+            published = acc
+            # The leading run of childless children folds on plain lists;
+            # the batched steps take the remaining children.
+            run = _leading_run(children, kids)
+            if first < run:
+                if front_store is not None and run < len(kids):
+                    # Chain the prefix key over the run but its last leaf;
+                    # the first step adds that one and publishes the run.
+                    for c in kids[first : run - 1]:
+                        prefix_key = front_store.prefix_key(prefix_key, codes[c])
+                acc, acc_is_base = run_fold.fold(kids[first:run], acc, acc_is_base, load)
+            folds.append(
+                _Fold(j, load, kids, max(first, run), first, acc, acc_is_base,
+                      prefix_key, published)
+            )
+        active = [fold for fold in folds if fold.i < len(fold.kids)]
+        while active:
+            items = []
+            for fold in active:
+                i = fold.i
+                if front_store is not None and i > fold.first:
+                    # Retain the accumulator over kids[:i] (skipped when the
+                    # previous child was an identity merge: nothing changed).
+                    fold.prefix_key = front_store.prefix_key(
+                        fold.prefix_key, codes[fold.kids[i - 1]]
+                    )
+                    if fold.acc is not fold.published:
+                        front_store.publish(
+                            fold.prefix_key,
+                            tree,
+                            codes,
+                            fold.node,
+                            fold.acc,
+                            sum(int(front[0].shape[0]) for front in fold.acc.values()),
+                            prefix=i,
+                        )
+                        fold.published = fold.acc
+                child = fold.kids[i]
+                child_table = tables[child]
+                tables[child] = None
+                if isinstance(child_table, tuple):
+                    child_table = _alias_table(prov, *child_table)
+                assert child_table is not None
+                items.append((fold, child, child_table))
+                fold.i = i + 1
+            step.run(items)
+            active = [fold for fold in active if fold.i < len(fold.kids)]
+        for fold in folds:
+            tables[fold.node] = fold.acc
+            if front_store is not None:
+                front_store.publish(
+                    table_keys[fold.node],
+                    tree,
+                    codes,
+                    fold.node,
+                    fold.acc,
+                    sum(int(front[0].shape[0]) for front in fold.acc.values()),
+                )
+        if front_store is not None:
+            for j in deferred[h]:
+                entry = front_store.lookup(table_keys[j])
+                assert entry is not None
+                tables[j] = (entry.table, front_store.make_iso(entry, tree, codes, j))
+                memo_hits += 1
+                if stats is not None:
+                    memo_shared += sum(len(front[0]) for front in entry.table.values())
 
     root = tree.root
     root_table = tables[root]
@@ -1274,7 +1447,7 @@ def power_frontier_array(
                 g_parts.append((front_g + dg) + delete_constant)
                 p_parts.append(front_p + dp)
             id_parts.append(front_prov)
-            mode_parts.append(np.full(front_prov.shape[0], mode, dtype=int64))
+            mode_parts.append(np.full(front_prov.shape[0], mode, dtype=np.int64))
     if not g_parts:
         raise InfeasibleError("no valid replica placement exists")
     all_g = np.concatenate(g_parts)
@@ -1308,10 +1481,10 @@ def power_frontier_array(
     if front_store is not None:
         front_store.end_solve()
     if stats is not None:
-        stats.merges += merges + run_fold.merges
-        stats.labels_created += labels_created + run_fold.labels_created
-        stats.labels_generated += labels_generated + run_fold.labels_generated
-        stats.merge_rejected += merge_rejected_n + run_fold.merge_rejected
+        stats.merges += step.merges + run_fold.merges
+        stats.labels_created += step.labels_created + run_fold.labels_created
+        stats.labels_generated += step.labels_generated + run_fold.labels_generated
+        stats.merge_rejected += step.merge_rejected + run_fold.merge_rejected
         stats.memo_hits += memo_hits
         stats.memo_misses += memo_misses
         stats.memo_labels_shared += memo_shared

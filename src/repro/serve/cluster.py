@@ -56,7 +56,7 @@ import contextlib
 import hashlib
 from typing import Any
 
-from repro.batch.canonical import routing_key
+from repro.batch.canonical import UnkeyableInstanceError, routing_key
 from repro.batch.registry import available_solvers, get_policy
 from repro.exceptions import ConfigurationError
 from repro.perf.stats import ClusterStats
@@ -352,12 +352,15 @@ class ClusterRouter(JsonLinesEndpoint):
         }
 
     def _solve_digest(self, message: dict[str, Any]) -> str:
-        """Routing key of a solve request; never raises.
+        """Routing key of a solve request.
 
         Cheap enough to run on the event loop: no tree, no canonical
         form.  Equal policy digests give equal keys, so every digest has
         one owner; a request that cannot be keyed gets
-        :data:`_UNROUTABLE` and its owner reports the parse error.
+        :data:`_UNROUTABLE` and its owner reports the parse error.  Only
+        the key's own :class:`UnkeyableInstanceError` falls back: any
+        other exception is a defect and reaches the caller, which answers
+        it as an internal error instead of routing the request.
         """
         raw = message.get("instance")
         solver = message.get("solver", "dp")
@@ -372,7 +375,7 @@ class ClusterRouter(JsonLinesEndpoint):
                 preexisting=covers_pre,
                 pre_modes=covers_pre and policy.needs_power,
             )
-        except ValueError:
+        except UnkeyableInstanceError:
             return _UNROUTABLE
 
     @staticmethod

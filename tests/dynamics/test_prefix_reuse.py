@@ -17,6 +17,7 @@ resumes from the longest retained prefix.  Pinned here:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from repro.power.kernels import KERNELS
 from repro.tree.generators import paper_tree, random_preexisting_modes
 from repro.tree.model import Client, Tree
 
-from tests.dynamics.test_incremental import CM, PM, _build_delta
+from tests.dynamics.test_incremental import CM, MAX_LOAD, PM, _build_delta
 
 
 def _reprices(state: SessionState, frontier, pre) -> bool:
@@ -128,6 +129,17 @@ def test_leaf_delta_reports_prefix_hits_apart_from_table_hits():
     state.close()
 
 
+def test_a_tree_without_resumable_prefixes_interns_no_prefix_key():
+    # Hub 1 folds only leaves, and the root's single child is never part
+    # of a prefix (a node's full fold is its table): no accumulator of
+    # this tree can be resumed, so the solve interns no prefix key.
+    tree = Tree([None, 0, 1, 1, 1], [Client(2, 3), Client(3, 1), Client(4, 2)])
+    state = SessionState(tree, PM, CM)
+    state.frontier()
+    assert not [key for key in state.store._intern if key[0] == "prefix"]
+    state.close()
+
+
 def _run_length(tree: Tree, node: int) -> int:
     kids = tree.children(node)
     run = 0
@@ -205,4 +217,109 @@ def test_prefix_ending_inside_a_run_resumes_the_run_on_lists():
     assert state.store.prefix_hits == before + 1
     assert result.frontier.pairs() == KERNELS["array"](state.tree, PM, CM).pairs()
     assert _reprices(state, result.frontier, {})
+    state.close()
+
+
+@given(
+    tree_seed=st.integers(0, 10_000),
+    with_pre=st.booleans(),
+    batches=st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(st.integers(0, 1_000), st.integers(0, 1_000)),
+                min_size=2,
+                max_size=4,
+            ),
+            st.integers(0, 1_000_000),
+            st.integers(0, 1_000_000),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+)
+@settings(max_examples=6, deadline=None)
+def test_batches_dirtying_one_level_in_several_subtrees_match_cold(
+    tree_seed, with_pre, batches
+):
+    """A batch of client edits in 2-4 different depth-1 subtrees, each
+    at its own child position, plus a migration: the re-solve refolds
+    several nodes of one height from different retained prefixes in one
+    level step.  Every step equals the cold solve and reprices."""
+    rng = np.random.default_rng(tree_seed)
+    tree = paper_tree(120, rng=rng)
+    pre = random_preexisting_modes(tree, 15, 2, rng=rng) if with_pre else {}
+    state = SessionState(tree, PM, CM, pre)
+    state.frontier()
+    for picks, a, b in batches:
+        current = state.tree
+        hubs = [u for u in current.children(current.root) if current.children(u)]
+        loads = current.client_loads.copy()
+        deltas = []
+        for hub_pick, child_pick in picks:
+            hub = hubs[hub_pick % len(hubs)]
+            kids = current.children(hub)
+            node = kids[child_pick % len(kids)]
+            room = MAX_LOAD - int(loads[node])
+            if room >= 1:
+                deltas.append(AddClient(node, 1 + child_pick % room))
+                loads[node] += 1 + child_pick % room
+        deltas.append(_build_delta(current, (1, a, b)))
+        frontier = state.apply(deltas).frontier
+        cold = KERNELS["array"](state.tree, PM, CM, pre)
+        assert frontier.pairs() == cold.pairs()
+        assert _reprices(state, frontier, pre)
+    state.close()
+
+
+def _hub(parent: int, first: int, loads: list[int]) -> tuple[list, list]:
+    """Parents and clients of a hub ``first`` under ``parent`` with one
+    leaf per load (ids ``first + 1, ...``)."""
+    parents = [parent] + [first] * len(loads)
+    clients = [Client(first + 1 + i, r) for i, r in enumerate(loads)]
+    return parents, clients
+
+
+@pytest.mark.parametrize(
+    "layout, hits, misses",
+    [
+        # Sibling hubs 1 and 4 share a table key: the walk visits hub 4
+        # first (it is pushed last), computes and publishes it, and hub
+        # 1's lookup is a hit on that table.
+        ([(0, [2, 3, 1]), (0, [2, 3, 1])], 1, 2),
+        # Three equal siblings: one miss, two hits.
+        ([(0, [2, 3, 1])] * 3, 2, 2),
+    ],
+)
+def test_equal_keys_within_one_level_count_one_miss_then_hits(layout, hits, misses):
+    parents: list[int | None] = [None]
+    clients = [Client(0, 1)]
+    for parent, loads in layout:
+        more, cl = _hub(parent, len(parents), loads)
+        parents += more
+        clients += cl
+    tree = Tree(parents, clients)
+    state = SessionState(tree, PM, CM)
+    frontier = state.frontier()
+    snap = state.store.snapshot()
+    assert (snap["hits"], snap["misses"]) == (hits, misses)
+    assert frontier.pairs() == KERNELS["array"](tree, PM, CM).pairs()
+    assert _reprices(state, frontier, {})
+    state.close()
+
+
+def test_equal_cousin_hubs_share_one_table():
+    # Root 0 -> depth-1 nodes 1 and 2; node 1 holds hub 3 (leaves 4, 5)
+    # and leaf 6, node 2 holds hub 7 (leaves 8, 9).  Hubs 3 and 7 are
+    # equal and of one height, so one is computed and the other hits.
+    tree = Tree(
+        [None, 0, 0, 1, 3, 3, 1, 2, 7, 7],
+        [Client(4, 2), Client(5, 3), Client(6, 1), Client(8, 2), Client(9, 3)],
+    )
+    state = SessionState(tree, PM, CM)
+    frontier = state.frontier()
+    snap = state.store.snapshot()
+    # Misses: root, node 2, hub 7, node 1; hub 3 hits hub 7's table.
+    assert (snap["hits"], snap["misses"]) == (1, 4)
+    assert frontier.pairs() == KERNELS["array"](tree, PM, CM).pairs()
+    assert _reprices(state, frontier, {})
     state.close()

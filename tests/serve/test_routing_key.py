@@ -11,6 +11,7 @@ gives distinct instances.
 
 from __future__ import annotations
 
+import asyncio
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -19,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import BatchInstance, get_policy, random_batch
-from repro.batch.canonical import relabel_tree, routing_key
+from repro.batch.canonical import UnkeyableInstanceError, relabel_tree, routing_key
 from repro.batch.instance import instance_to_dict
 from repro.core.costs import UniformCostModel
 from repro.power.modes import ModeSet, PowerModel
-from repro.serve import ClusterRouter, InProcessSpawner
+from repro.serve import ClusterRouter, InProcessSpawner, WorkerConfig
 from repro.serve.cluster import _UNROUTABLE
+from repro.tree.generators import paper_tree
 
 from tests.conftest import small_trees
 
@@ -215,7 +217,7 @@ class TestBalanceAndFallback:
         """The range checks reject an id equal to ``n`` themselves; no
         array sized by the ids gets to fail on it first."""
         raw = {"tree": tree, "preexisting": pre}
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(UnkeyableInstanceError, match="out of range"):
             routing_key(raw, "dp", preexisting=True)
 
     def test_values_are_coerced_like_the_parser(self):
@@ -224,3 +226,33 @@ class TestBalanceAndFallback:
         ints = {"tree": {"parents": [None, 0, 0], "clients": [[1, 2]]}}
         mixed = {"tree": {"parents": [None, 0.0, "0"], "clients": [["1", 2.0]]}}
         assert routing_key(mixed, "dp") == routing_key(ints, "dp")
+
+    def test_a_defect_in_the_key_is_an_error_not_a_fallback(self, monkeypatch):
+        """Only the key's own checks fall back to the fallback key: a
+        bare ``ValueError`` from inside the key computation (say, numpy
+        rejecting an array) answers the request as an internal error and
+        routes it nowhere."""
+
+        def broken_key(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("repro.serve.cluster.routing_key", broken_key)
+        tree = paper_tree(10, rng=np.random.default_rng(3))
+        instance = BatchInstance(tree, 10, frozenset({0}))
+        message = {
+            "op": "solve",
+            "id": 7,
+            "solver": "dp",
+            "instance": instance_to_dict(instance),
+        }
+
+        async def run():
+            router = ClusterRouter(InProcessSpawner(), 2, WorkerConfig())
+            async with router:
+                response = await router.dispatch(message)
+                return response, router.stats.requests_routed
+
+        response, routed = asyncio.run(run())
+        assert response["ok"] is False and response["id"] == 7
+        assert response["error"].startswith("internal error: ValueError: operands")
+        assert routed == 0

@@ -67,3 +67,33 @@ def test_prefix_targets_and_site_numbering():
     assert [(s.index, s.op) for s in sites] == [(0, ">="), (1, "!=")]
     second = smoke.mutate(source, sites[1], ("_flow_*",))
     assert "x >= 1 == x" in second and "y > 0" in second
+
+
+def test_sites_carry_their_function_and_expression():
+    source = (
+        "class K:\n    def f(self, n, m):\n"
+        "        if n <= LIMIT and m > 0:\n            return [x for x in n if x < m]\n"
+    )
+    sites = smoke.find_sites(source)
+    assert [(s.function, s.source, s.op) for s in sites] == [
+        ("K.f", "n <= LIMIT and m > 0", "<="),
+        ("K.f", "n <= LIMIT and m > 0", ">"),
+        ("K.f", "[x for x in n if x < m]", "<"),
+    ]
+
+
+def test_every_listed_equivalent_names_a_current_site():
+    """An entry whose expression was edited or removed would silently
+    stop matching; each must name at least one current site."""
+    root = _PATH.parents[1] / "src"
+    for key, reason in smoke.EQUIVALENT.items():
+        module, function, source, op = key
+        assert reason
+        sites = smoke.find_sites(
+            (root / module).read_text(), smoke.TARGETS[module]
+        )
+        matches = [
+            s for s in sites if (s.function, s.source, s.op) == (function, source, op)
+        ]
+        assert matches, key
+        assert all(smoke.equivalence_reason(module, s) == reason for s in matches)

@@ -8,8 +8,9 @@ the run exceeds its timeout, and *survives* when the subset still
 passes.  Survivors are either equivalent mutants or holes in the
 ladder; each is printed as ``file:line:op`` so it can be triaged.
 Survivors listed in :data:`EQUIVALENT` (matched by enclosing function,
-comparison source and operator, never by line number) are printed apart
-with their reason, so the ``survived`` lines are the holes.
+the expression around the comparison and operator, never by line
+number) are printed apart with their reason, so the ``survived`` lines
+are the holes.
 
 Targets: every comparison of the array Pareto kernel, the flow-kernel
 functions of the MinCost-WithPre DP, and the canonicaliser plus the
@@ -75,6 +76,7 @@ FAST_SUBSET = (
     "tests/serve/test_routing_key.py",
     "tests/batch/test_canonical.py",
     "tests/power/test_power_cross_validation.py",
+    "tests/power/test_merge_paths.py",
     "tests/dynamics/test_prefix_reuse.py",
 )
 

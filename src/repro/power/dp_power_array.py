@@ -80,8 +80,8 @@ through a dozen numpy calls.  So each node folds the *leading run* of
 its children — the longest prefix of childless ones — on small Python
 lists (:class:`_RunFold`), converts the accumulator to columns once,
 and hands it to the general path for the remaining children (internal
-ones, and any leaf after one).  The list fold is the per-child fold,
-exactly:
+ones, and any leaf after one).  The list fold is the general merge
+(:class:`_MergeStep`) of one leaf at a time, exactly:
 
 * **Same candidates.**  Leaves go in child order; each offers to pass
   its load up or to host at ``bisect_left(caps, load)``.  Empty leaves
@@ -513,9 +513,9 @@ class _RunFold:
     ) -> tuple[dict[int, _Front], bool]:
         """Fold childless children into ``acc``, one leaf at a time.
 
-        Reproduces the general per-child fold of
-        :func:`power_frontier_array` for a child whose table is the single
-        base label at flow = its load: same candidates in the same build
+        Reproduces the general merge (:class:`_MergeStep`) of a child
+        whose table is the single base label at flow = its load, one
+        child at a time: same candidates in the same build
         order, same float adds, same sweeps, same counters.  Only kept
         placed rows get provenance entries (a kept pass row keeps its
         accumulator row's id, which reconstructs the same placement), and
@@ -802,9 +802,9 @@ class _MergeStep:
 
     :meth:`run` merges one child into each of several independent folds
     — one step of one tree level — with one set of numpy calls for all
-    of them.  Per fold, it is exactly the per-child merge: the same
-    candidates in the same bucket order, the same float adds, sweeps and
-    counters.
+    of them.  Each fold gets what merging its child alone would give:
+    the same candidates in the same bucket order, the same float adds,
+    sweeps and counters.
     """
 
     pre: Mapping[int, int]
@@ -940,10 +940,11 @@ class _MergeStep:
             (np.arange(n_pool, n_pool + o_pos, dtype=np.intp), sel)
         )
 
-        # Per fold, its output flows in the per-child merge's dict order.
-        # A result is a shared front, or a slot filled below from one of
-        # three batches: operand blocks (swept buckets, then shifted
-        # copies), option rows kept verbatim, and large buckets.
+        # Per fold, its output flows in insertion order: copies and
+        # aliases as met, then the swept buckets.  A result is a shared
+        # front, or a slot filled below from one of three batches: operand
+        # blocks (swept buckets, then shifted copies), option rows kept
+        # verbatim, and large buckets.
         results: list[_Front | None] = []
         layouts: list[tuple[_Fold, list[tuple[int, int]]]] = []
         swept: list[tuple[int, list[_Block], int]] = []

@@ -592,23 +592,6 @@ class TestLeafRunFold:
         )
         assert len(frontier.points) >= 3
 
-    def test_free_reuse_of_an_empty_leaf_is_still_an_identity_merge(self):
-        # delete = 1 and changed = 0 make reusing an idle server free (a
-        # price of exactly 0.0).  Empty leaf 1 (in the root's leading run)
-        # and empty leaf 5 (after hub 3) still take the identity skip on
-        # both paths: the counters are those of the tree without servers.
-        tree = Tree([None, 0, 0, 0, 3, 0], [Client(2, 4), Client(4, 3)])
-        cm = ModalCostModel.uniform(2, create=0.1, delete=1.0, changed=0.0)
-        pre = {1: 0, 5: 0}
-        _assert_fold_equals_per_child_fold(tree, PM, cm, pre)
-
-        def counters(pre):
-            stats = ParetoDPStats()
-            power_frontier_array(tree, PM, cm, pre, stats=stats)
-            return stats.as_dict()
-
-        assert counters(pre) == counters({})
-
     def test_all_leaf_star_with_every_leaf_kind(self):
         # Root whose children are all leaves: empty, empty reused, loads
         # equal to both capacities, and ordinary loads.

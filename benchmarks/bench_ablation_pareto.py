@@ -1,6 +1,7 @@
 """Ablation 1 — Pareto-label DP vs the paper-faithful count-vector DP.
 
-DESIGN.md argues the Pareto engine is exact; the tests prove equality of
+The dominance argument in the :mod:`repro.power.dp_power_pareto` module
+docstring shows the Pareto engine is exact; the tests prove equality of
 frontiers.  This bench quantifies why the engineering matters: runtime of
 both solvers on the same instances, and the state-space sizes involved.
 """

@@ -25,7 +25,9 @@ Two gates fail the build:
   committed baseline (``benchmarks/baselines/BENCH_pareto_baseline.json``),
   after rescaling by a pure-Python calibration loop measured on both
   machines — so a slower runner shifts the threshold instead of failing
-  the build.
+  the build.  The loop is timed beside every family's runs and the best
+  of all those loops is kept, so one disturbed stretch of the run cannot
+  set every limit.
 """
 
 from __future__ import annotations
@@ -165,10 +167,20 @@ def _diverse_families() -> dict[str, dict]:
     return f
 
 
-def _paired(fn_new, fn_old, reps: int) -> tuple[float, float, list, list]:
-    """Interleaved best-of wall times (defeats CPU-frequency drift), and
-    every timed run's result, new and old."""
-    best_new = best_old = float("inf")
+def _calibration_loop() -> float:
+    """One pure-Python loop for cross-machine threshold rescaling."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(200_000):
+        acc += i * i % 7
+    return time.perf_counter() - t0
+
+
+def _paired(fn_new, fn_old, reps: int) -> tuple[float, float, float, list, list]:
+    """Interleaved best-of wall times of the engine, the reference and the
+    calibration loop (defeats CPU-frequency drift), and every timed run's
+    result, new and old."""
+    best_new = best_old = best_cal = float("inf")
     out_new: list = []
     out_old: list = []
     for _ in range(reps):
@@ -178,19 +190,8 @@ def _paired(fn_new, fn_old, reps: int) -> tuple[float, float, list, list]:
         t0 = time.perf_counter()
         out_old.append(fn_old())
         best_old = min(best_old, time.perf_counter() - t0)
-    return best_new, best_old, out_new, out_old
-
-
-def _calibration_seconds() -> float:
-    """Pure-Python workload for cross-machine threshold rescaling."""
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        acc = 0
-        for i in range(200_000):
-            acc += i * i % 7
-        best = min(best, time.perf_counter() - t0)
-    return best
+        best_cal = min(best_cal, _calibration_loop())
+    return best_new, best_old, best_cal, out_new, out_old
 
 
 def _run_families() -> dict[str, dict]:
@@ -199,7 +200,7 @@ def _run_families() -> dict[str, dict]:
         tree, pm, cm, pre = spec["tree"], spec["pm"], spec["cm"], spec["pre"]
         stats = ParetoDPStats()
         frontier = KERNELS["array"](tree, pm, cm, pre, stats=stats)
-        new_s, ref_s, engine_runs, reference_runs = _paired(
+        new_s, ref_s, cal_s, engine_runs, reference_runs = _paired(
             lambda: KERNELS["array"](tree, pm, cm, pre),
             lambda: power_frontier(tree, pm, cm, pre),
             spec["reps"],
@@ -219,6 +220,7 @@ def _run_families() -> dict[str, dict]:
             "points": len(frontier),
             "kernel_seconds": new_s,
             "reference_seconds": ref_s,
+            "calibration_seconds": cal_s,
             "speedup": ref_s / new_s,
             "stats": stats.as_dict(),
         }
@@ -227,7 +229,7 @@ def _run_families() -> dict[str, dict]:
 
 def test_pareto_kernel_speedup_and_smoke(benchmark, emit):
     families = benchmark.pedantic(_run_families, rounds=1, iterations=1)
-    calibration = _calibration_seconds()
+    calibration = min(fam["calibration_seconds"] for fam in families.values())
 
     report = {
         "calibration_seconds": calibration,

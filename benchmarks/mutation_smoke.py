@@ -63,6 +63,7 @@ TARGETS: dict[str, tuple[str, ...] | None] = {
 }
 
 _ARRAY = "repro/power/dp_power_array.py"
+_WITHPRE = "repro/core/dp_withpre.py"
 
 #: Seconds per mutant run; a run that exceeds it counts as killed.
 _TIMEOUT = 120.0
@@ -133,6 +134,19 @@ EQUIVALENT: dict[tuple[str, str, str, str], str] = {
         ">",
     ): "a bucket of exactly _FILTER_LIMIT candidates sweeps exactly on "
     "either path",
+    (_WITHPRE, "_minplus", "not out or w < out[-1][1]", "<"): (
+        "keeps a step whose weight equals the previous one's at a larger "
+        "flow; _at reads the same weight and _flow_split finds the earlier "
+        "step first, so every weight and witness is unchanged"
+    ),
+    (
+        _WITHPRE,
+        "_flow_update",
+        "[(f + load, w) for f, w in acc if f + load <= capacity and w < host]",
+        "<",
+    ): "keeps a step of weight equal to the hosting option (0, host) at a "
+    "larger flow; _at reads the same weight and _flow_split finds the "
+    "earlier step first, so every weight and witness is unchanged",
 }
 
 

@@ -18,8 +18,8 @@ Quickstart
 >>> dp.n_replicas == gr.n_replicas
 True
 
-See ``README.md`` for the architecture overview and ``DESIGN.md`` for the
-paper-to-module map.
+See ``README.md`` for the architecture overview; its "Layout" section
+maps the paper's parts to the subpackages.
 """
 
 from repro._version import __version__

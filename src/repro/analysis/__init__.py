@@ -2,7 +2,7 @@
 
 from repro.analysis.ascii_plot import bar_plot, line_plot
 from repro.analysis.locality import LocalityReport, locality_report
-from repro.analysis.stats import SeriesStats, histogram_counts, merge_series, summarize
+from repro.analysis.stats import SeriesStats, merge_series, summarize
 from repro.analysis.tables import format_table, to_csv
 from repro.analysis.treeview import render_tree
 
@@ -11,7 +11,6 @@ __all__ = [
     "SeriesStats",
     "bar_plot",
     "format_table",
-    "histogram_counts",
     "line_plot",
     "locality_report",
     "merge_series",

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["SeriesStats", "summarize", "merge_series", "histogram_counts"]
+__all__ = ["SeriesStats", "summarize", "merge_series"]
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,3 @@ def merge_series(parts: Sequence[SeriesStats]) -> SeriesStats:
         minimum=min(p.minimum for p in parts),
         maximum=max(p.maximum for p in parts),
     )
-
-
-def histogram_counts(
-    samples: Sequence[int], *, lo: int | None = None, hi: int | None = None
-) -> dict[int, int]:
-    """Integer histogram ``{value: count}`` over an inclusive range.
-
-    The range defaults to ``[min(samples), max(samples)]`` and is padded
-    with zero-count entries so plots show gaps (as in Figure 5 right).
-    """
-    if not samples:
-        return {}
-    lo = min(samples) if lo is None else lo
-    hi = max(samples) if hi is None else hi
-    counts = {v: 0 for v in range(lo, hi + 1)}
-    for s in samples:
-        counts[int(s)] = counts.get(int(s), 0) + 1
-    return counts

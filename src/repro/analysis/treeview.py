@@ -28,8 +28,7 @@ def render_tree(
     Markers: ``[R]`` replica, ``(pre)`` pre-existing server, ``@Wk`` the
     operated mode (1-based, as in the paper), ``<=q`` requests served,
     ``c:r`` attached client load.  Rendering stops after ``max_nodes``
-    lines with an ellipsis (big trees are better served by
-    :func:`repro.tree.serialize.tree_to_dot`).
+    lines with an ellipsis.
     """
     rset = set(replicas)
     pre = set(preexisting)

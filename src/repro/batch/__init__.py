@@ -31,7 +31,7 @@ from repro.batch.canonical import (
     instance_digest,
     relabel_tree,
 )
-from repro.batch.executor import instance_key, solve_batch, solve_one
+from repro.batch.executor import instance_key, solve_batch
 from repro.batch.instance import (
     BatchInstance,
     batch_from_json,
@@ -65,5 +65,4 @@ __all__ = [
     "register_policy",
     "relabel_tree",
     "solve_batch",
-    "solve_one",
 ]

@@ -78,7 +78,7 @@ from repro.exceptions import (
 from repro.faults import registry as _faults
 from repro.perf.stats import BatchCacheStats
 
-__all__ = ["SupervisedPool", "instance_key", "solve_batch", "solve_one"]
+__all__ = ["SupervisedPool", "instance_key", "solve_batch"]
 
 #: An incident-surviving digest is force-probed after this many re-runs,
 #: even if its journal marks look innocent — guarantees wave progress.
@@ -404,23 +404,6 @@ def instance_key(
     before it reaches :func:`solve_batch`.
     """
     return get_policy(solver).instance_key(instance)
-
-
-def solve_one(
-    instance: BatchInstance,
-    *,
-    solver: str = "dp",
-    cache: ResultCache | None = None,
-    stats: BatchCacheStats | None = None,
-) -> Any:
-    """Solve a single instance through the batch pipeline.
-
-    A batch of one: the full canonicalise → cache → verified fan-out
-    machinery runs, so repeated calls against a shared ``cache`` behave
-    like serving traffic.  For concurrent callers prefer the coalescing
-    awaitable :meth:`repro.serve.BatchServer.submit`.
-    """
-    return solve_batch([instance], solver=solver, cache=cache, stats=stats)[0]
 
 
 def solve_batch(

@@ -16,12 +16,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.presets import PRESETS, WorkloadPreset, make_preset, preset_names
 from repro.experiments.scaling import ScalingPoint, run_scaling
-from repro.experiments.store import (
-    load_result,
-    result_from_json,
-    result_to_json,
-    save_result,
-)
 from repro.experiments.worked_examples import (
     Figure1Example,
     Figure2Example,
@@ -43,12 +37,8 @@ __all__ = [
     "WorkloadPreset",
     "figure1_example",
     "figure2_example",
-    "load_result",
     "make_preset",
     "preset_names",
-    "result_from_json",
-    "result_to_json",
-    "save_result",
     "run_experiment1",
     "run_experiment1_parallel",
     "run_experiment2",

@@ -19,6 +19,8 @@ baseline ``baselines/schema_fingerprint.json``:
   the dangerous case this rule exists for;
 * surface changed alongside a version bump → stale baseline: regenerate
   it in the same commit (``repro lint --write-schema-baseline``);
+* a baseline entry whose module was deleted → a removed surface, even
+  when the run was given only some files;
 * baseline missing → generate one.
 
 Regenerating the baseline is itself a reviewed diff, which is the
@@ -32,7 +34,7 @@ import fnmatch
 import hashlib
 import json
 from collections.abc import Iterator
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from repro.lint.framework import Finding, LintConfig, ModuleInfo, Rule, register_rule
 
@@ -49,8 +51,6 @@ _SURFACE_FUNCTIONS = {
     "_envelope",
     "encode_line",
     "decode_line",
-    "frontier_to_columnar",
-    "frontier_from_columnar",
 }
 #: Class attributes that are wire surfaces (fingerprinted by value).
 _SURFACE_ATTRS = {"digest_fields", "record_schema"}
@@ -58,7 +58,6 @@ _SURFACE_ATTRS = {"digest_fields", "record_schema"}
 _VERSION_NAMES = {
     "_SCHEMA",
     "_ACCEPTED_SCHEMAS",
-    "_COLUMNAR_SCHEMA",
     "_DIGEST_SCHEMA",
     "CACHE_SCHEMA",
     "record_schema",
@@ -72,7 +71,6 @@ _SURFACE_MODULES = (
     "*/power/dp_power_pareto.py",
     "*/power/serialize.py",
     "*/tree/serialize.py",
-    "*/experiments/store.py",
     "*/serve/protocol.py",
 )
 
@@ -152,6 +150,16 @@ def fingerprint_project(
     }
 
 
+def _project_root(modules: list[ModuleInfo]) -> Path | None:
+    """The directory relpaths resolve against: a module's path minus its relpath."""
+    for module in modules:
+        rel = PurePosixPath(module.relpath).parts
+        path = module.path.resolve().parts
+        if len(path) > len(rel) and path[-len(rel):] == rel:
+            return Path(*path[: -len(rel)])
+    return None
+
+
 def write_baseline(path: Path, fingerprint: dict[str, object]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
@@ -204,12 +212,17 @@ class SchemaDriftRule(Rule):
             return
 
         by_rel = {m.relpath: m for m in modules}
+        root = _project_root(modules)
 
         def scanned(key: str) -> bool:
-            return key.partition("::")[0] in by_rel
+            relpath = key.partition("::")[0]
+            if relpath in by_rel:
+                return True
+            return root is not None and not (root / relpath).exists()
 
         # A partial run (one file) must not mistake unscanned modules'
-        # baseline entries for removals: compare only scanned relpaths.
+        # baseline entries for removals: compare only scanned relpaths,
+        # plus those of modules deleted since the baseline was written.
         base_surfaces: dict[str, str] = {
             k: v for k, v in dict(baseline.get("surfaces", {})).items() if scanned(k)
         }

@@ -41,11 +41,8 @@ from repro.power.result import (
     modal_from_replicas,
 )
 from repro.power.serialize import (
-    frontier_from_columnar,
-    frontier_to_columnar,
     modal_cost_model_from_dict,
     modal_cost_model_to_dict,
-    modal_result_to_record,
     power_model_from_dict,
     power_model_to_dict,
 )
@@ -64,8 +61,6 @@ __all__ = [
     "build_reduction",
     "exhaustive_min_power",
     "exhaustive_power_frontier",
-    "frontier_from_columnar",
-    "frontier_to_columnar",
     "greedy_power_candidates",
     "local_search_power",
     "min_power",
@@ -73,7 +68,6 @@ __all__ = [
     "modal_cost_model_from_dict",
     "modal_cost_model_to_dict",
     "modal_from_replicas",
-    "modal_result_to_record",
     "partition_from_placement",
     "power_frontier",
     "power_frontier_array",

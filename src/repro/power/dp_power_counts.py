@@ -26,7 +26,7 @@ the Pareto solver for anything but validation — `bench_ablation_pareto`
 quantifies the gap.
 
 Modes are load-determined (§2.2), see the discussion in
-:mod:`repro.power.dp_power_pareto` and DESIGN.md.
+:mod:`repro.power.dp_power_pareto`.
 """
 
 from __future__ import annotations

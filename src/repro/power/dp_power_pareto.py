@@ -25,9 +25,12 @@ super-polynomial, as it must, since MinPower is NP-complete (Theorem 2).
 
 Modes are *load-determined* (§2.2: ``W_{i-1} < req_j <= W_i`` ⇒ mode ``i``):
 a placed server absorbing flow ``f`` runs at ``mode_of(f)``.  The paper's
-pseudo-code loops over all modes with sufficient capacity; under Equation 3
-power is strictly increasing in the mode, so only the load-determined mode
-can appear in an optimal solution and the loop is redundant (see DESIGN.md).
+pseudo-code loops over all modes with sufficient capacity, but §2.2 already
+fixes the mode by the load, so every other mode of that loop is excluded by
+the model and the loop is redundant.  (Under Equation 3 power is strictly
+increasing in the mode: a server run above its load-determined mode could
+only trade more power for a cheaper mode change, a trade the model does not
+offer.)
 
 The solver returns the **entire cost/power frontier**, so a single run
 answers every cost-bound query of Experiment 3 (Figures 8–11).

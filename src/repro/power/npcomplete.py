@@ -97,7 +97,7 @@ def build_reduction(values: Sequence[int]) -> TwoPartitionReduction:
         # e.g. values (1,1,2,4) admit I = {all} at power 5K²+12 < P_max =
         # 5K²+12.75).  Such instances are trivially decidable — a_j > S/2
         # means "no", a_j = S/2 means "{j}" — so the reduction rightfully
-        # assumes max(a) < S/2.  See DESIGN.md.
+        # assumes max(a) < S/2.
         raise ConfigurationError(
             f"reduction requires max(a) < S/2 (got max={max(vals)}, "
             f"S/2={s // 2}); decide such instances directly"

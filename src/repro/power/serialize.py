@@ -8,63 +8,29 @@ for the power-side parameters and results:
   Equation-3 :class:`~repro.power.modes.PowerModel` (mode capacities,
   static power, alpha, capacity scale);
 * :func:`modal_cost_model_to_dict` / :func:`modal_cost_model_from_dict`
-  — the Equation-4 :class:`~repro.core.costs.ModalCostModel`;
-* :func:`modal_result_to_record` — the relabelling-covariant core of a
-  :class:`~repro.power.result.ModalPlacementResult`: its ``(cost, power,
-  server modes)`` triple.  The loads/reuse bookkeeping is *not* stored;
-  fan-out recomputes it in O(N) via
-  :func:`~repro.power.result.modal_from_replicas`, which re-verifies the
-  placement at the same time.
+  — the Equation-4 :class:`~repro.core.costs.ModalCostModel`.
 
-Frontier records (lists of such triples) are produced and consumed by
+Frontier records (lists of ``(cost, power, server modes)`` triples) are
+produced and consumed by
 :meth:`~repro.power.dp_power_pareto.PowerFrontier.to_records` /
 :meth:`~repro.power.dp_power_pareto.PowerFrontier.from_records`.
-
-:func:`frontier_to_columnar` / :func:`frontier_from_columnar` are the
-columnar alternative: the frontier's sorted cost/power columns travel as
-two base64 little-endian float64 buffers (decoded zero-copy with
-``np.frombuffer`` straight into the
-:class:`~repro.power.result.FrontierColumns` backing — no per-point
-float parsing), with the ragged placements as plain JSON.  The format is
-versioned by ``_COLUMNAR_SCHEMA`` and covered by the ``schema-drift``
-lint fingerprint.
 """
 
 from __future__ import annotations
 
-import base64
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Any
-
-import numpy as np
+from typing import Any
 
 from repro.core.costs import ModalCostModel
 from repro.exceptions import ConfigurationError
 from repro.power.modes import ModeSet, PowerModel
-from repro.power.result import FrontierColumns, ModalPlacementResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.power.dp_power_pareto import PowerFrontier
-    from repro.tree.model import Tree
 
 __all__ = [
-    "frontier_from_columnar",
-    "frontier_to_columnar",
     "modal_cost_model_from_dict",
     "modal_cost_model_to_dict",
-    "modal_result_to_record",
     "power_model_from_dict",
     "power_model_to_dict",
 ]
-
-#: Version of the columnar frontier record layout.  Bump on any change
-#: to the envelope produced by :func:`frontier_to_columnar`.
-_COLUMNAR_SCHEMA = 1
-
-#: The only accepted column dtype: little-endian IEEE-754 float64.  The
-#: tag is stored explicitly so a future layout can widen it; the decoder
-#: rejects anything else rather than trusting a wire-supplied dtype.
-_COLUMN_DTYPE = "<f8"
 
 
 def power_model_to_dict(model: PowerModel) -> dict[str, Any]:
@@ -111,127 +77,3 @@ def modal_cost_model_from_dict(data: Mapping[str, Any]) -> ModalCostModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed modal cost model: {exc}") from exc
-
-
-def frontier_to_columnar(frontier: PowerFrontier) -> dict[str, Any]:
-    """Serialize a frontier as a versioned columnar record.
-
-    The sorted cost/power columns are emitted once as base64 ``<f8``
-    buffers (straight from the frontier's
-    :class:`~repro.power.result.FrontierColumns` backing); placements
-    stay row-major JSON because they are ragged.  Like
-    :meth:`~repro.power.dp_power_pareto.PowerFrontier.to_records` output,
-    the record is relabelling-covariant through its ``modes`` lists.
-    """
-    costs = np.ascontiguousarray(frontier.columns.costs, dtype=_COLUMN_DTYPE)
-    powers = np.ascontiguousarray(frontier.columns.powers, dtype=_COLUMN_DTYPE)
-    modes: list[list[list[int]]] = []
-    for pt in frontier.points:
-        placement = pt.placement()
-        if pt._root_mode is not None:
-            placement[frontier._root] = pt._root_mode
-        modes.append([[int(v), int(m)] for v, m in sorted(placement.items())])
-    return {
-        "columnar_schema": _COLUMNAR_SCHEMA,
-        "dtype": _COLUMN_DTYPE,
-        "n": len(frontier),
-        "costs": base64.b64encode(costs.tobytes()).decode("ascii"),
-        "powers": base64.b64encode(powers.tobytes()).decode("ascii"),
-        "modes": modes,
-    }
-
-
-def frontier_from_columnar(
-    tree: Tree,
-    data: Mapping[str, Any],
-    power_model: PowerModel,
-    cost_model: ModalCostModel,
-    preexisting_modes: Mapping[int, int] | None = None,
-    *,
-    extra: Mapping[str, object] | None = None,
-    verify: bool = True,
-) -> PowerFrontier:
-    """Inverse of :func:`frontier_to_columnar`.
-
-    The decoded buffers become the frontier's columnar backing without a
-    per-element copy (``np.frombuffer`` over the base64 payload).  With
-    ``verify=True`` every placement is re-verified and re-priced against
-    the given models and the frontier ordering invariant is checked,
-    exactly as :meth:`PowerFrontier.from_records` does.
-    """
-    from repro.power.dp_power_pareto import FrontierPoint, PowerFrontier
-
-    try:
-        schema = int(data["columnar_schema"])
-        if schema != _COLUMNAR_SCHEMA:
-            raise ConfigurationError(
-                f"columnar frontier record has schema {schema}, expected "
-                f"{_COLUMNAR_SCHEMA}"
-            )
-        if data.get("dtype", _COLUMN_DTYPE) != _COLUMN_DTYPE:
-            raise ConfigurationError(
-                f"columnar frontier record has dtype {data['dtype']!r}, "
-                f"expected {_COLUMN_DTYPE!r}"
-            )
-        n = int(data["n"])
-        costs = np.frombuffer(
-            base64.b64decode(data["costs"]), dtype=_COLUMN_DTYPE
-        )
-        powers = np.frombuffer(
-            base64.b64decode(data["powers"]), dtype=_COLUMN_DTYPE
-        )
-        modes = data["modes"]
-        if costs.shape[0] != n or powers.shape[0] != n or len(modes) != n:
-            raise ConfigurationError(
-                f"columnar frontier record is inconsistent: n={n} but "
-                f"{costs.shape[0]} costs / {powers.shape[0]} powers / "
-                f"{len(modes)} placements"
-            )
-        points = [
-            FrontierPoint(
-                cost,
-                power,
-                None,
-                None,
-                tuple((int(v), int(m)) for v, m in placement),
-            )
-            for cost, power, placement in zip(
-                costs.tolist(), powers.tolist(), modes, strict=True
-            )
-        ]
-    except ConfigurationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"malformed columnar frontier record: {exc}"
-        ) from exc
-    frontier = PowerFrontier(
-        tree,
-        points,
-        power_model,
-        cost_model,
-        dict(preexisting_modes or {}),
-        tree.root,
-        extra=extra,
-        columns=FrontierColumns(costs, powers),
-    )
-    if verify:
-        frontier.columns.validate()
-        for pt in frontier.points:
-            frontier._materialise(pt)
-    return frontier
-
-
-def modal_result_to_record(result: ModalPlacementResult) -> dict[str, Any]:
-    """The relabelling-covariant core of a modal solution.
-
-    ``modes`` is a sorted ``[[node, mode], ...]`` list; cost and power are
-    plain floats.  Everything else a
-    :class:`~repro.power.result.ModalPlacementResult` carries is derived
-    per instance during fan-out.
-    """
-    return {
-        "cost": result.cost,
-        "power": result.power,
-        "modes": [[int(v), int(m)] for v, m in sorted(result.server_modes.items())],
-    }

@@ -9,9 +9,7 @@ provides:
 * :class:`~repro.tree.builders.TreeBuilder` — incremental construction;
 * :mod:`~repro.tree.generators` — random workloads, including the exact
   parameterisations of the paper's experiments (fat and high trees);
-* :mod:`~repro.tree.traversal` — orders and ancestor utilities;
-* :mod:`~repro.tree.serialize` — JSON round-trips and DOT export;
-* :mod:`~repro.tree.nxinterop` — conversion to/from networkx;
+* :mod:`~repro.tree.serialize` — JSON round-trips;
 * :mod:`~repro.tree.metrics` — structural statistics;
 * :mod:`~repro.tree.validate` — structural validation helpers.
 """
@@ -30,8 +28,7 @@ from repro.tree.generators import (
     star_tree,
 )
 from repro.tree.model import Client, Tree
-from repro.tree.serialize import tree_from_dict, tree_from_json, tree_to_dict, tree_to_dot, tree_to_json
-from repro.tree.transform import relabel, scale_workload, split_client
+from repro.tree.serialize import tree_from_dict, tree_from_json, tree_to_dict, tree_to_json
 
 __all__ = [
     "Client",
@@ -46,13 +43,9 @@ __all__ = [
     "random_preexisting",
     "random_preexisting_modes",
     "random_recursive_tree",
-    "relabel",
-    "scale_workload",
-    "split_client",
     "star_tree",
     "tree_from_dict",
     "tree_from_json",
     "tree_to_dict",
-    "tree_to_dot",
     "tree_to_json",
 ]

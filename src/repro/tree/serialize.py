@@ -1,4 +1,4 @@
-"""Tree (de)serialization: dict/JSON round-trips and Graphviz DOT export.
+"""Tree (de)serialization: dict/JSON round-trips.
 
 The dict schema is versioned so saved workloads stay loadable:
 
@@ -14,7 +14,7 @@ The dict schema is versioned so saved workloads stay loadable:
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from typing import Any
 
 from repro.exceptions import ConfigurationError
@@ -25,7 +25,6 @@ __all__ = [
     "tree_from_dict",
     "tree_to_json",
     "tree_from_json",
-    "tree_to_dot",
 ]
 
 _SCHEMA = 1
@@ -70,43 +69,3 @@ def tree_from_json(text: str) -> Tree:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid JSON: {exc}") from exc
     return tree_from_dict(data)
-
-
-def tree_to_dot(
-    tree: Tree,
-    *,
-    replicas: Iterable[int] = (),
-    preexisting: Iterable[int] = (),
-    name: str = "distribution_tree",
-) -> str:
-    """Render the tree as Graphviz DOT.
-
-    Internal nodes are boxes; clients are ellipses labelled with their
-    request count.  Nodes in ``replicas`` are filled; nodes in
-    ``preexisting`` get a double border — handy when eyeballing update
-    strategies.
-    """
-    rep = set(replicas)
-    pre = set(preexisting)
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    for v in range(tree.n_nodes):
-        attrs = ["shape=box"]
-        label = f"n{v}"
-        if v in pre:
-            attrs.append("peripheries=2")
-            label += " (pre)"
-        if v in rep:
-            attrs.append('style=filled fillcolor="lightblue"')
-        attrs.append(f'label="{label}"')
-        lines.append(f"  n{v} [{' '.join(attrs)}];")
-    for v in range(tree.n_nodes):
-        p = tree.parent(v)
-        if p is not None:
-            lines.append(f"  n{p} -> n{v};")
-    for idx, c in enumerate(tree.clients):
-        lines.append(
-            f'  c{idx} [shape=ellipse label="r={c.requests}"];'
-        )
-        lines.append(f"  n{c.node} -> c{idx} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines)

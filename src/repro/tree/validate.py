@@ -3,9 +3,6 @@
 ``Tree`` construction already rejects malformed parent vectors; the helpers
 here perform the *semantic* checks that solvers rely on:
 
-* :func:`check_capacity_feasible` — the closest policy admits a solution iff
-  every internal node's *direct* client load fits in the largest capacity
-  (any server responsible for those clients serves at least that load);
 * :func:`check_preexisting` — pre-existing server sets must reference
   internal nodes of the tree.
 """
@@ -14,11 +11,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.exceptions import ConfigurationError
 from repro.tree.model import Tree
 
 __all__ = [
-    "check_capacity_feasible",
     "check_preexisting",
     "max_direct_load",
 ]
@@ -27,27 +23,6 @@ __all__ = [
 def max_direct_load(tree: Tree) -> int:
     """Largest aggregated direct client load over all internal nodes."""
     return int(tree.client_loads.max()) if tree.n_nodes else 0
-
-
-def check_capacity_feasible(tree: Tree, capacity: int) -> None:
-    """Raise :class:`InfeasibleError` when no placement can serve the tree.
-
-    Under the closest policy a replica at (or above) node ``v`` serves all of
-    ``v``'s unserved subtree, so a node whose direct clients already exceed
-    the maximal capacity can never be served (Algorithm 2 exits with "no
-    solution" in exactly this case).
-    """
-    if capacity < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-    loads = tree.client_loads
-    for v in range(tree.n_nodes):
-        if loads[v] > capacity:
-            raise InfeasibleError(
-                f"direct client load {int(loads[v])} at node {v} exceeds the "
-                f"maximal capacity W={capacity}; no closest-policy placement "
-                "can serve these clients",
-                node=v,
-            )
 
 
 def check_preexisting(

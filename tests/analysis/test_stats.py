@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import histogram_counts, summarize
+from repro.analysis.stats import summarize
 
 
 class TestSummarize:
@@ -40,20 +40,3 @@ class TestSummarize:
         tol = 1e-12 * max(1.0, abs(s.minimum), abs(s.maximum))
         assert s.minimum - tol <= s.mean <= s.maximum + tol
         assert s.std >= 0.0
-
-
-class TestHistogramCounts:
-    def test_basic(self):
-        h = histogram_counts([1, 1, 3])
-        assert h == {1: 2, 2: 0, 3: 1}
-
-    def test_explicit_range_pads(self):
-        h = histogram_counts([1], lo=0, hi=2)
-        assert h == {0: 0, 1: 1, 2: 0}
-
-    def test_empty(self):
-        assert histogram_counts([]) == {}
-
-    def test_values_outside_range_counted(self):
-        h = histogram_counts([5], lo=0, hi=2)
-        assert h[5] == 1

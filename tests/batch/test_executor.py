@@ -291,7 +291,7 @@ class TestInstanceSerialization:
 
 
 class TestSingleInstanceSurface:
-    """The public single-instance wrappers (`solve_one`, `instance_key`)."""
+    """The public single-instance wrapper `instance_key`."""
 
     def test_instance_key_matches_policy_and_batch_digest(self):
         from repro.batch import instance_key, solve_batch
@@ -305,16 +305,3 @@ class TestSingleInstanceSurface:
         assert instance_key(batch[1], solver="dp")[1] == digest
         # A different policy digests differently.
         assert instance_key(batch[0], solver="greedy")[1] != digest
-
-    def test_solve_one_equals_batch_of_one_and_shares_cache(self):
-        from repro.batch import ResultCache, solve_batch, solve_one
-
-        instance = _mixed_batch(n_unique=1, n_total=1)[0]
-        cache = ResultCache(max_entries=8)
-        first = solve_one(instance, solver="dp", cache=cache)
-        direct = solve_batch([instance], solver="dp")[0]
-        assert sorted(first.replicas) == sorted(direct.replicas)
-        assert first.cost == direct.cost
-        again = solve_one(instance, solver="dp", cache=cache)
-        assert cache.stats.hits == 1  # second call served from the cache
-        assert sorted(again.replicas) == sorted(first.replicas)

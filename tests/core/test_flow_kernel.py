@@ -27,7 +27,7 @@ from repro.core.solution import PlacementResult
 from repro.power.dp_power_pareto import power_frontier
 from repro.power.modes import ModeSet, PowerModel
 from repro.tree.generators import paper_tree, random_preexisting
-from repro.tree.model import Tree
+from repro.tree.model import Client, Tree
 
 from tests.conftest import trees_with_preexisting
 
@@ -190,3 +190,23 @@ class TestDispatch:
         model = UniformCostModel(0.1, 0.01)
         wide = replica_update(tree, 10**9, pre, model)
         assert wide.cost == theorem1_update(tree, 10**9, pre, model).cost
+
+
+class TestFreeReuse:
+    """At ``delete == 1.0`` Equation 2 refunds a reused server's unit
+    charge in full, so the server weighs nothing and hosting it ties."""
+
+    #: Root with a client, a childless node 2 without clients, and node 3
+    #: (a client of 2 requests) under node 1.
+    TREE = Tree([None, 0, 0, 1], [Client(0, 3), Client(3, 2)])
+    MODEL = UniformCostModel(0.1, 1.0)
+
+    @pytest.mark.parametrize("pre", [{2}, {1, 2}])
+    def test_idle_preexisting_leaf_is_not_hosted(self, pre):
+        # Childless servers are hosted only as far as the fewest of them
+        # bring their flow to 0, so the idle one is left out, as the
+        # Theorem-1 kernel leaves it out.
+        got = replica_update(self.TREE, 10, pre, self.MODEL)
+        oracle = theorem1_update(self.TREE, 10, pre, self.MODEL)
+        assert 2 not in got.replicas and 2 not in oracle.replicas
+        assert got.cost == oracle.cost

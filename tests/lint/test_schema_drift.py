@@ -118,6 +118,48 @@ class TestSchemaDrift:
         assert any(k.endswith("CACHE_SCHEMA") for k in data["versions"])
 
 
+class TestDeletedModule:
+    """A surface module deleted from disk is compared, not skipped."""
+
+    TREE_REL = "src/repro/tree/serialize.py"
+
+    def project(self, tmp_path: Path) -> list[Path]:
+        files = []
+        for rel, source in ((REL, BASE_SOURCE), (self.TREE_REL, "_SCHEMA = 1\n")):
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source))
+            files.append(path)
+        return files
+
+    def lint(self, tmp_path: Path, files: list[Path], *, write: bool = False) -> list:
+        config = LintConfig(
+            baseline_path=tmp_path / "baselines" / "schema_fingerprint.json",
+            write_schema_baseline=write,
+        )
+        modules = [ModuleInfo.load(f, tmp_path) for f in files]
+        return run_rules(modules, [get_rule("schema-drift")], config)
+
+    def test_deleted_module_reported_as_removed(self, tmp_path):
+        files = self.project(tmp_path)
+        assert self.lint(tmp_path, files, write=True) == []
+        files[1].unlink()
+        found = self.lint(tmp_path, files[:1])
+        assert len(found) == 1
+        assert "_SCHEMA" in found[0].message
+        assert "refresh" in found[0].message
+        assert found[0].path.endswith("schema_fingerprint.json")
+        # Refreshing the baseline drops the deleted module's entries.
+        assert self.lint(tmp_path, files[:1], write=True) == []
+        assert self.lint(tmp_path, files[:1]) == []
+
+    def test_partial_run_ignores_existing_unscanned_modules(self, tmp_path):
+        files = self.project(tmp_path)
+        self.lint(tmp_path, files, write=True)
+        assert self.lint(tmp_path, files[:1]) == []
+        assert self.lint(tmp_path, files[1:]) == []
+
+
 class TestRepoBaseline:
     """The committed baseline matches the sources in this repository."""
 

@@ -1,4 +1,7 @@
-"""Computational demonstration of the Theorem-2 erratum (DESIGN.md).
+"""Computational demonstration of the Theorem-2 erratum.
+
+The erratum is spelled out where the guard lives, in
+:func:`repro.power.npcomplete.build_reduction`.
 
 `build_reduction` refuses instances with ``max(a) >= S/2``; this test
 builds the gadget for one anyway — bypassing the guard — and shows the
@@ -71,7 +74,8 @@ class TestErratumCounterexample:
         assert sum(VALUES[i] for i in subset) != sum(VALUES) // 2
 
     def test_analytic_margin_matches(self):
-        # DESIGN.md's numbers: I = {all} costs 5K² + 12 + epsilon against
+        # The erratum's numbers (build_reduction's guard comment):
+        # I = {all} costs 5K² + 12 + epsilon against
         # P_max = 5K² + 12.75 + epsilon'.
         tree, power_model, p_max, _ = _build_unguarded()
         free = ModalCostModel.uniform(

@@ -377,8 +377,8 @@ class TestStatsCoherence:
 
 
 class TestArrayKernelContract:
-    """Array-kernel specifics: lazy placements, columnar wire format,
-    and the ``kernel=`` selection knob."""
+    """Array-kernel specifics: lazy placements that re-verify and
+    re-price exactly."""
 
     def _instance(self):
         parents = [None, 0, 0, 1, 1, 2, 2, 3, 4]
@@ -418,42 +418,6 @@ class TestArrayKernelContract:
         except InfeasibleError:
             return
         assert_roundtrip(frontier, tree, PM, CM, pre)
-
-    def test_columnar_roundtrip(self):
-        from repro.power.serialize import (
-            frontier_from_columnar,
-            frontier_to_columnar,
-        )
-
-        t, pre = self._instance()
-        frontier = power_frontier_array(t, PM, CM, pre)
-        data = frontier_to_columnar(frontier)
-        rebuilt = frontier_from_columnar(t, data, PM, CM, pre, verify=True)
-        assert rebuilt.pairs() == frontier.pairs()
-        for a, b in zip(rebuilt.points, frontier.points, strict=True):
-            full = b.placement()
-            if b._root_mode is not None:
-                full[t.root] = b._root_mode
-            assert a.placement() == full
-        # Encoding is deterministic: same frontier, same bytes.
-        assert frontier_to_columnar(rebuilt) == data
-
-    def test_columnar_rejects_foreign_dtype(self):
-        from repro.exceptions import ConfigurationError
-        from repro.power.serialize import (
-            frontier_from_columnar,
-            frontier_to_columnar,
-        )
-
-        t, pre = self._instance()
-        data = frontier_to_columnar(power_frontier_array(t, PM, CM, pre))
-        assert data["dtype"] == "<f8"
-        bad = dict(data, dtype=">f8")
-        with pytest.raises(ConfigurationError, match="dtype"):
-            frontier_from_columnar(t, bad, PM, CM, pre)
-        unknown = dict(data, columnar_schema=99)
-        with pytest.raises(ConfigurationError, match="schema"):
-            frontier_from_columnar(t, unknown, PM, CM, pre)
 
 
 #: Leaf loads for the fan trees: empty leaves and loads equal to a mode

@@ -3,7 +3,8 @@
 The Pareto-label engine, the paper-faithful count-vector DP and the
 exhaustive oracle must produce identical (cost, power) frontiers; GR must
 never beat the frontier.  This is the machine-checked proof of the Pareto
-solver's dominance argument (DESIGN.md §3).
+solver's dominance argument (the module docstring of
+:mod:`repro.power.dp_power_pareto`).
 """
 
 from __future__ import annotations

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.exceptions import ConfigurationError
-from repro.tree.model import Client, Tree
 from repro.tree.serialize import (
     tree_from_dict,
     tree_from_json,
     tree_to_dict,
-    tree_to_dot,
     tree_to_json,
 )
 
@@ -57,17 +55,3 @@ class TestJsonRoundTrip:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError, match="invalid JSON"):
             tree_from_json("{nope")
-
-
-class TestDot:
-    def test_contains_nodes_edges_clients(self, chain_tree):
-        dot = tree_to_dot(chain_tree, replicas=[1], preexisting=[2])
-        assert "digraph" in dot
-        assert "n0 -> n1" in dot and "n1 -> n2" in dot
-        assert "r=3" in dot  # client label
-        assert "fillcolor" in dot  # replica styling
-        assert "peripheries=2" in dot  # pre-existing styling
-
-    def test_no_decorations(self):
-        dot = tree_to_dot(Tree([None]))
-        assert "fillcolor" not in dot and "peripheries" not in dot

@@ -1,10 +1,14 @@
-"""Tests for :mod:`repro.tree.transform` and the metamorphic suite.
+"""Metamorphic tests: solver optima across derived instances.
 
-The metamorphic tests are the point of this module: each transformation
-has a provable effect on the optimum (usually none), so every solver gets
-checked against itself across derived instances — a bug in merge-order
-handling, id assumptions or load aggregation shows up as a metamorphic
-violation even when direct oracles pass.
+Each transformation has a provable effect on the optimum (none here):
+node ids are arbitrary, so relabelling (which also reorders child merges)
+keeps every optimum; multiplying every request and the capacity by ``k``
+keeps every feasibility comparison; and splitting one client in two at
+the same node is invisible to the closest policy, which sees only the
+aggregated per-node load.  So every solver gets checked against itself
+across derived instances — a bug in merge-order handling, id assumptions
+or load aggregation shows up as a metamorphic violation even when direct
+oracles pass.
 """
 
 from __future__ import annotations
@@ -14,66 +18,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batch.canonical import relabel_tree
 from repro.core.costs import UniformCostModel
 from repro.core.dp_nopre import dp_min_replicas
 from repro.core.dp_withpre import replica_update
 from repro.core.greedy import greedy_placement
-from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.tree.transform import relabel, scale_workload, split_client
+from repro.exceptions import InfeasibleError
+from repro.tree.model import Client, Tree
 
 from tests.conftest import small_trees
 
 MINCOUNT = UniformCostModel(1e-4, 1e-5)
 
 
-class TestRelabel:
-    def test_identity(self, chain_tree):
-        t, perm = relabel(chain_tree, [0, 1, 2])
-        assert t == chain_tree and perm == [0, 1, 2]
-
-    def test_structure_mapped(self, chain_tree):
-        t, perm = relabel(chain_tree, [2, 0, 1])
-        # old chain 0->1->2 becomes 2->0->1
-        assert t.root == 2
-        assert t.parent(0) == 2 and t.parent(1) == 0
-        assert t.client_load(2) == chain_tree.client_load(0)
-
-    def test_bad_permutation(self, chain_tree):
-        with pytest.raises(ConfigurationError):
-            relabel(chain_tree, [0, 0, 1])
-        with pytest.raises(ConfigurationError):
-            relabel(chain_tree, [0, 1])
+def scale_workload(tree: Tree, factor: int) -> Tree:
+    """Multiply every client's requests by ``factor``."""
+    return tree.with_clients(
+        Client(c.node, c.requests * factor) for c in tree.clients
+    )
 
 
-class TestScaleWorkload:
-    def test_scales_requests(self, chain_tree):
-        t = scale_workload(chain_tree, 3)
-        assert t.total_requests == chain_tree.total_requests * 3
-
-    def test_factor_one_identity(self, chain_tree):
-        assert scale_workload(chain_tree, 1) == chain_tree
-
-    def test_bad_factor(self, chain_tree):
-        with pytest.raises(ConfigurationError):
-            scale_workload(chain_tree, 0)
-
-
-class TestSplitClient:
-    def test_totals_preserved(self, chain_tree):
-        t = split_client(chain_tree, 2, rng=0)
-        assert t.total_requests == chain_tree.total_requests
-        assert t.n_clients == chain_tree.n_clients + 1
-        assert t.client_load(2) == chain_tree.client_load(2)
-
-    def test_single_request_untouched(self):
-        from repro.tree.model import Client, Tree
-
-        t = Tree([None], [Client(0, 1)])
-        assert split_client(t, 0, rng=0) == t
-
-    def test_bad_index(self, chain_tree):
-        with pytest.raises(ConfigurationError):
-            split_client(chain_tree, 99)
+def split_client(tree: Tree, index: int, seed: int) -> Tree:
+    """Split one client in two at the same node with the same total."""
+    target = tree.clients[index]
+    if target.requests < 2:
+        return tree
+    left = int(np.random.default_rng(seed).integers(1, target.requests))
+    clients = list(tree.clients)
+    clients[index : index + 1] = [
+        Client(target.node, left),
+        Client(target.node, target.requests - left),
+    ]
+    return tree.with_clients(clients)
 
 
 class TestMetamorphicInvariance:
@@ -88,7 +64,7 @@ class TestMetamorphicInvariance:
             base = dp_min_replicas(tree, 10)
         except InfeasibleError:
             return
-        mapped, pmap = relabel(tree, perm)
+        mapped, _ = relabel_tree(tree, perm)
         assert dp_min_replicas(mapped, 10) == base
         assert greedy_placement(mapped, 10).n_replicas == base
         assert (
@@ -117,7 +93,7 @@ class TestMetamorphicInvariance:
             base = dp_min_replicas(tree, 10)
         except InfeasibleError:
             return
-        split = split_client(tree, idx % tree.n_clients, rng=idx)
+        split = split_client(tree, idx % tree.n_clients, idx)
         assert dp_min_replicas(split, 10) == base
         assert greedy_placement(split, 10).n_replicas == base
 
@@ -132,8 +108,7 @@ class TestMetamorphicInvariance:
             base = replica_update(tree, 10, pre, cm)
         except InfeasibleError:
             return
-        mapped, pmap = relabel(tree, perm)
-        mapped_pre = frozenset(pmap[v] for v in pre)
+        mapped, mapped_pre = relabel_tree(tree, perm, pre)
         got = replica_update(mapped, 10, mapped_pre, cm)
         # Optimal cost is invariant; the witness may differ between ties,
         # so only the objective is pinned.

@@ -4,34 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.tree.model import Client, Tree
-from repro.tree.validate import check_capacity_feasible, check_preexisting, max_direct_load
-
-
-class TestCapacityFeasibility:
-    def test_feasible_passes(self, chain_tree):
-        check_capacity_feasible(chain_tree, 10)
-
-    def test_single_heavy_node_raises_with_node(self):
-        t = Tree([None, 0], [Client(1, 11)])
-        with pytest.raises(InfeasibleError) as exc:
-            check_capacity_feasible(t, 10)
-        assert exc.value.node == 1
-
-    def test_aggregated_clients_counted(self):
-        t = Tree([None], [Client(0, 6), Client(0, 6)])
-        with pytest.raises(InfeasibleError):
-            check_capacity_feasible(t, 10)
-        check_capacity_feasible(t, 12)
-
-    def test_bad_capacity(self, chain_tree):
-        with pytest.raises(ConfigurationError):
-            check_capacity_feasible(chain_tree, 0)
-
-    def test_boundary_exactly_w(self):
-        t = Tree([None], [Client(0, 10)])
-        check_capacity_feasible(t, 10)  # == W is fine
+from repro.exceptions import ConfigurationError
+from repro.tree.model import Tree
+from repro.tree.validate import check_preexisting, max_direct_load
 
 
 class TestMaxDirectLoad:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import summarize
+from repro.analysis.stats import merge_series, summarize
 
 
 class TestSummarize:
@@ -40,3 +40,26 @@ class TestSummarize:
         tol = 1e-12 * max(1.0, abs(s.minimum), abs(s.maximum))
         assert s.minimum - tol <= s.mean <= s.maximum + tol
         assert s.std >= 0.0
+
+
+class TestMergeSeries:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(-100, 100), min_size=1, max_size=30),
+        st.lists(st.integers(0, 30), max_size=4),
+    )
+    def test_any_split_matches_single_pass(self, xs, cuts):
+        bounds = sorted({0, len(xs), *(min(c, len(xs)) for c in cuts)})
+        parts = [summarize(xs[a:b]) for a, b in zip(bounds, bounds[1:])]
+        merged, direct = merge_series(parts), summarize(xs)
+        assert merged.n == direct.n
+        assert (merged.minimum, merged.maximum) == (direct.minimum, direct.maximum)
+        assert merged.mean == pytest.approx(direct.mean, abs=1e-9)
+        assert merged.std == pytest.approx(direct.std, abs=1e-6)
+
+    def test_single_part_unchanged(self):
+        s = summarize([1.0, 4.0, 4.0])
+        merged = merge_series([s])
+        assert merged.n == s.n and merged.mean == pytest.approx(s.mean)
+        assert merged.std == pytest.approx(s.std)
+        assert merged.stderr == pytest.approx(s.stderr)

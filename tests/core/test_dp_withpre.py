@@ -143,6 +143,33 @@ class TestErrors:
             replica_update(chain_tree, 10, preexisting=[99])
 
 
+@pytest.mark.parametrize("solve", [replica_update, theorem1_update])
+class TestCapacityFeasibility:
+    """Both kernels reject a node whose own clients exceed ``W``, naming it."""
+
+    def test_heavy_leaf_names_node(self, solve):
+        t = Tree([None, 0, 0], [Client(1, 2), Client(2, 11)])
+        with pytest.raises(InfeasibleError) as exc:
+            solve(t, 10, [1])
+        assert exc.value.node == 2
+
+    def test_heavy_internal_node_names_node(self, solve):
+        t = Tree([None, 0, 1], [Client(1, 11), Client(2, 1)])
+        with pytest.raises(InfeasibleError) as exc:
+            solve(t, 10)
+        assert exc.value.node == 1
+
+    def test_aggregated_clients_counted(self, solve):
+        t = Tree([None], [Client(0, 6), Client(0, 6)])
+        with pytest.raises(InfeasibleError):
+            solve(t, 10)
+        assert solve(t, 12).replicas == frozenset({0})
+
+    def test_boundary_exactly_w(self, solve):
+        t = Tree([None, 0], [Client(1, 10)])
+        assert solve(t, 10).n_replicas == 1  # == W is fine
+
+
 class TestOptimalityAgainstOracle:
     @settings(max_examples=70, deadline=None)
     @given(trees_with_preexisting(max_nodes=9, max_requests=6))

@@ -196,3 +196,33 @@ class TestPropertyInvariants:
         chain = list(tree.ancestors(v, include_self=True))
         assert chain[0] == v and chain[-1] == tree.root
         assert len(chain) == tree.depth(v) + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_trees(max_nodes=14))
+    def test_pre_order_visits_parents_before_children(self, tree):
+        order = list(tree.pre_order())
+        pos = {v: i for i, v in enumerate(order)}
+        assert order[0] == tree.root and len(pos) == tree.n_nodes == len(order)
+        for v in range(tree.n_nodes):
+            p = tree.parent(v)
+            if p is not None:
+                assert pos[p] < pos[v]
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_trees(max_nodes=12))
+    def test_subtree_nodes_are_the_descendants(self, tree):
+        for v in range(tree.n_nodes):
+            below = set(tree.subtree_nodes(v))
+            assert below == {w for w in range(tree.n_nodes) if tree.is_ancestor(v, w)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_trees(max_nodes=14))
+    def test_children_invert_parents(self, tree):
+        for v in range(tree.n_nodes):
+            assert all(tree.parent(c) == v for c in tree.children(v))
+        assert sum(len(tree.children(v)) for v in range(tree.n_nodes)) == tree.n_nodes - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_trees(max_nodes=14))
+    def test_height_is_deepest_node(self, tree):
+        assert tree.height == max(tree.depth(v) for v in range(tree.n_nodes))

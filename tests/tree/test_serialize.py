@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, TreeStructureError, WorkloadError
 from repro.tree.serialize import (
     tree_from_dict,
     tree_from_json,
@@ -55,3 +55,25 @@ class TestJsonRoundTrip:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError, match="invalid JSON"):
             tree_from_json("{nope")
+
+
+class TestStructuralValidation:
+    """A decoded payload goes through the tree's own validation: a
+    well-formed dict describing no valid tree is rejected, not loaded."""
+
+    @pytest.mark.parametrize(
+        ("parents", "clients", "error", "match"),
+        [
+            ([], [], TreeStructureError, "at least one internal node"),
+            ([1, 0], [], TreeStructureError, "exactly one root"),
+            ([None, None], [], TreeStructureError, "exactly one root"),
+            ([None, 5], [], TreeStructureError, "out-of-range parent"),
+            ([None, 0], [[3, 1]], WorkloadError, "unknown internal node"),
+            ([None], [[0, 0]], WorkloadError, "non-positive requests"),
+        ],
+        ids=["empty", "cycle", "two-roots", "dangling-parent", "orphan-client", "zero-requests"],
+    )
+    def test_rejected(self, parents, clients, error, match):
+        data = {"schema": 1, "parents": parents, "clients": clients}
+        with pytest.raises(error, match=match):
+            tree_from_dict(data)

@@ -8,7 +8,8 @@ the same node is invisible to the closest policy, which sees only the
 aggregated per-node load.  So every solver gets checked against itself
 across derived instances — a bug in merge-order handling, id assumptions
 or load aggregation shows up as a metamorphic violation even when direct
-oracles pass.
+oracles pass.  The transformations themselves are checked first, so a
+broken one cannot make the invariance checks vacuous.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core.costs import UniformCostModel
 from repro.core.dp_nopre import dp_min_replicas
 from repro.core.dp_withpre import replica_update
 from repro.core.greedy import greedy_placement
-from repro.exceptions import InfeasibleError
+from repro.exceptions import InfeasibleError, WorkloadError
 from repro.tree.model import Client, Tree
 
 from tests.conftest import small_trees
@@ -50,6 +51,59 @@ def split_client(tree: Tree, index: int, seed: int) -> Tree:
         Client(target.node, target.requests - left),
     ]
     return tree.with_clients(clients)
+
+
+class TestRelabel:
+    def test_identity(self, chain_tree):
+        t, pre = relabel_tree(chain_tree, [0, 1, 2], [1])
+        assert t == chain_tree and pre == frozenset({1})
+
+    def test_structure_mapped(self, chain_tree):
+        t, _ = relabel_tree(chain_tree, [2, 0, 1])
+        # old chain 0->1->2 becomes 2->0->1
+        assert t.root == 2
+        assert t.parent(0) == 2 and t.parent(1) == 0
+        assert t.client_load(2) == chain_tree.client_load(0)
+
+    def test_mode_mapping_relabelled(self, chain_tree):
+        _, modes = relabel_tree(chain_tree, [2, 0, 1], {0: 1, 2: 0})
+        assert modes == {2: 1, 1: 0}
+
+    def test_bad_permutation(self, chain_tree):
+        with pytest.raises(ValueError, match="permutation"):
+            relabel_tree(chain_tree, [0, 0, 1])
+        with pytest.raises(ValueError, match="permutation"):
+            relabel_tree(chain_tree, [0, 1])
+
+
+class TestScaleWorkload:
+    def test_scales_requests(self, chain_tree):
+        t = scale_workload(chain_tree, 3)
+        assert t.total_requests == chain_tree.total_requests * 3
+
+    def test_factor_one_identity(self, chain_tree):
+        assert scale_workload(chain_tree, 1) == chain_tree
+
+    def test_zero_factor_rejected(self, chain_tree):
+        with pytest.raises(WorkloadError):
+            scale_workload(chain_tree, 0)
+
+
+class TestSplitClient:
+    def test_totals_preserved(self, chain_tree):
+        t = split_client(chain_tree, 2, 0)
+        assert t.total_requests == chain_tree.total_requests
+        assert t.n_clients == chain_tree.n_clients + 1
+        assert t.client_load(2) == chain_tree.client_load(2)
+
+    def test_single_request_untouched(self):
+        t = Tree([None], [Client(0, 1)])
+        assert split_client(t, 0, 0) == t
+
+    def test_structure_unchanged(self, chain_tree):
+        t = split_client(chain_tree, 1, 3)
+        assert t.parents == chain_tree.parents
+        assert list(t.client_loads) == list(chain_tree.client_loads)
 
 
 class TestMetamorphicInvariance:

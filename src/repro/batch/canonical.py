@@ -81,6 +81,8 @@ __all__ = [
 #: returned: they are keyed by old-schema digests no new request computes.
 _DIGEST_SCHEMA = 2
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class Canonical:
@@ -127,6 +129,21 @@ def _normalize_preexisting(
     )
 
 
+def _pair_rank(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """One ``int64`` per entry, ordered and equal like ``(major, minor)``.
+
+    ``major`` is non-negative.  Values too large to pack into one
+    ``int64`` are replaced by their dense ranks first.
+    """
+    minor = minor - minor.min()
+    width = int(minor.max()) + 1
+    if (int(major.max()) + 1) * width > _INT64_MAX:
+        major = np.unique(major, return_inverse=True)[1].reshape(-1)
+        minor = np.unique(minor, return_inverse=True)[1].reshape(-1)
+        width = int(minor.max()) + 1
+    return major * width + minor
+
+
 def canonicalize(
     tree: Tree, preexisting: Iterable[int] | Mapping[int, int] = ()
 ) -> Canonical:
@@ -139,69 +156,132 @@ def canonicalize(
     pre_modes = _normalize_preexisting(preexisting)
     check_preexisting(tree, pre_modes)
     n = tree.n_nodes
+    parent_list = list(tree.parents)
+    parent_list[tree.root] = -1
+    par = np.fromiter(parent_list, dtype=np.int64, count=n)
+    clients = tree.clients
+    c_node = np.fromiter([c.node for c in clients], np.int64, len(clients))
+    c_req = np.fromiter([c.requests for c in clients], np.int64, len(clients))
+    marker = np.zeros(n, dtype=np.int64)
+    if pre_modes:
+        marker[list(pre_modes)] = np.fromiter(pre_modes.values(), np.int64) + 1
 
-    # Group nodes by subtree height so codes can be interned level by
-    # level: identical keys only ever occur at one height, and assigning
-    # fresh integers in sorted-key order per level is labelling-free.
-    heights = [0] * n
-    by_height: list[list[int]] = []
-    for v in tree.post_order():
-        vi = int(v)
-        kids = tree.children(vi)
-        h = 1 + max((heights[c] for c in kids), default=-1)
-        heights[vi] = h
-        while len(by_height) <= h:
-            by_height.append([])
-        by_height[h].append(vi)
+    # Annotation: one integer per node ordered and equal like the pair
+    # (sorted request tuple, marker).  Without multi-client nodes the
+    # load orders the tuples (``()`` is 0, ``(r,)`` is r >= 1);
+    # otherwise the distinct tuples are ranked once in Python.
+    req_rank = tree.client_loads
+    count = np.bincount(c_node, minlength=n)
+    multi = np.flatnonzero(count > 1).tolist()
+    if multi:
+        single = count == 1
+        values = np.unique(req_rank[single]).tolist()
+        tuples = [
+            tuple(sorted(c.requests for c in tree.clients_at(v))) for v in multi
+        ]
+        keys = sorted({(), *((r,) for r in values), *tuples})
+        rank = {key: i for i, key in enumerate(keys)}
+        req_rank = np.zeros(n, dtype=np.int64)
+        req_rank[single] = np.array([rank[(r,)] for r in values], dtype=np.int64)[
+            np.searchsorted(values, tree.client_loads[single])
+        ]
+        req_rank[multi] = [rank[key] for key in tuples]
+    ann = _pair_rank(req_rank, marker)
 
-    codes = [0] * n
-    intern: dict[tuple, int] = {}
-    for level in by_height:
-        level_keys: dict[int, tuple] = {}
-        for vi in level:
-            reqs = tuple(sorted(c.requests for c in tree.clients_at(vi)))
-            marker = pre_modes.get(vi, -1) + 1
-            kids = tuple(sorted(codes[c] for c in tree.children(vi)))
-            level_keys[vi] = (reqs, marker, kids)
-        for key in sorted(set(level_keys.values())):
-            if key not in intern:
-                intern[key] = len(intern)
-        for vi in level:
-            codes[vi] = intern[level_keys[vi]]
+    # Leaves: a leaf's code is its annotation.  Non-root leaves are laid
+    # out by parent, then code, then id descending (a stable sort of the
+    # id-descending list), which is their order in the canonical
+    # pre-order; every internal code sorts above every leaf code, so a
+    # node's leaf children come first among its children.
+    is_child = par >= 0
+    is_internal = np.bincount(par[is_child], minlength=n) > 0
+    leaves = np.flatnonzero(is_child & ~is_internal)[::-1]
+    leaves = leaves[np.lexsort((ann[leaves], par[leaves]))]
+    leaf_par = par[leaves]
+    n_leaf_kids = np.bincount(leaf_par, minlength=n)
+    leaf_start = np.cumsum(n_leaf_kids) - n_leaf_kids
+    leaf_codes = ann[leaves].tolist()
+    leaf_start_l = leaf_start.tolist()
+    n_leaf_l = n_leaf_kids.tolist()
 
-    # Canonical numbering: pre-order, children in ascending code order.
-    # Identically coded siblings root isomorphic annotated subtrees, so
-    # any order between them yields the same canonical instance.
-    order: list[int] = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(
-            sorted(tree.children(v), key=codes.__getitem__, reverse=True)
-        )
+    # Internal nodes, children first: subtree sizes, and heights to
+    # group them into levels (a height-h node has a height-(h-1) child,
+    # so it comes after the first node of every lower level).
+    post = tree.post_order()
+    internal = post[is_internal[post]].tolist()
+    size = [1] * n
+    height = [1] * n
+    levels: list[list[int]] = []
+    for u in internal:
+        size[u] += n_leaf_l[u]
+        h = height[u]
+        if h > len(levels):
+            levels.append([u])
+        else:
+            levels[h - 1].append(u)
+        p = parent_list[u]
+        if p >= 0:
+            size[p] += size[u]
+            if height[p] <= h:
+                height[p] = h + 1
 
-    to_canon = [0] * n
-    for canon_id, orig in enumerate(order):
-        to_canon[orig] = canon_id
-    parents: list[int | None] = [None] * n
-    for canon_id, orig in enumerate(order):
-        p = tree.parent(orig)
-        parents[canon_id] = None if p is None else to_canon[p]
+    # Internal codes, level by level from the lowest: a node's key is
+    # (annotation, sorted child codes), and a level's distinct keys take
+    # the next codes in sorted order.  A one-node level needs no key.
+    ann_l = ann.tolist()
+    next_code = int(ann.max()) + 1
+    kid_items: dict[int, list[tuple[int, int]]] = {}
+    for level in levels:
+        if len(level) == 1:
+            level_codes = [next_code]
+            next_code += 1
+        else:
+            keys = []
+            for u in level:
+                s = leaf_start_l[u]
+                kids = leaf_codes[s:s + n_leaf_l[u]]
+                if u in kid_items:
+                    kids += [c for c, _ in sorted(kid_items[u])]
+                keys.append((ann_l[u], tuple(kids)))
+            ranks = {key: i for i, key in enumerate(sorted(set(keys)), next_code)}
+            level_codes = [ranks[key] for key in keys]
+            next_code += len(ranks)
+        for u, c in zip(level, level_codes):
+            p = parent_list[u]
+            if p >= 0:
+                kid_items.setdefault(p, []).append((c, -u))
 
-    clients = tuple(
-        sorted((to_canon[c.node], c.requests) for c in tree.clients)
+    # Canonical numbering: pre-order, siblings by code ascending, ties by
+    # node id descending.  After a node's leaf children, each internal
+    # child starts where the previous one's subtree ends.
+    pre = [0] * n
+    for u in reversed(internal):
+        if u in kid_items:
+            at = pre[u] + 1 + n_leaf_l[u]
+            for _, neg in sorted(kid_items[u]):
+                pre[-neg] = at
+                at += size[-neg]
+    to_canon = np.fromiter(pre, dtype=np.int64, count=n)
+    to_canon[leaves] = (
+        to_canon[leaf_par] + 1 + np.arange(leaves.size) - leaf_start[leaf_par]
     )
+    from_canon = np.empty(n, dtype=np.int64)
+    from_canon[to_canon] = np.arange(n)
+
+    canon_parents: list[int | None] = [None] * n
+    canon_parents[1:] = to_canon[par[from_canon[1:]]].tolist()
+    canon_node = to_canon[c_node]
+    order = np.lexsort((c_req, canon_node))
     canon_modes = tuple(
-        sorted((to_canon[v], m) for v, m in pre_modes.items())
+        sorted(zip(to_canon[list(pre_modes)].tolist(), pre_modes.values()))
     )
     return Canonical(
-        parents=tuple(parents),
-        clients=clients,
+        parents=tuple(canon_parents),
+        clients=tuple(zip(canon_node[order].tolist(), c_req[order].tolist())),
         preexisting=tuple(v for v, _ in canon_modes),
         preexisting_modes=canon_modes,
-        to_canonical=tuple(to_canon),
-        from_canonical=tuple(order),
+        to_canonical=tuple(to_canon.tolist()),
+        from_canonical=tuple(from_canon.tolist()),
     )
 
 

@@ -6,14 +6,22 @@ encoding near-linear (see :mod:`repro.batch.canonical`).  This bench
 times a depth-1000 path (the ROADMAP regression case), checks digest
 invariance under the worst-case reversal relabelling, and asserts a
 generous near-linearity bound on the depth-1000 → depth-4000 scaling so
-an accidental return to quadratic growth fails loudly.
+an accidental return to quadratic growth fails loudly.  It also prints,
+without a gate, the median time on paper trees of the request sizes
+(n = 100/200/400 with n/8 pre-existing servers, as a ``dp`` request is
+keyed), where a path's one-node levels are the exception.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
+from functools import partial
+
+import numpy as np
 
 from repro.batch.canonical import canonicalize, instance_digest, relabel_tree
+from repro.tree.generators import paper_tree, random_preexisting
 from repro.tree.model import Tree
 
 DEPTH = 1000
@@ -21,6 +29,8 @@ SCALE_DEPTH = 4000
 # Quadratic growth would be 16x work at 4x depth; allow generous noise
 # headroom over the linear 4x on shared runners.
 MAX_SCALE_RATIO = 10.0
+PAPER_SIZES = (100, 200, 400)
+PAPER_TREES = 20
 
 
 def _path_tree(depth: int) -> Tree:
@@ -64,6 +74,22 @@ def test_deep_path_canonicalisation(emit):
         f"acceptance: ratio <= {MAX_SCALE_RATIO:.0f}x",
     )
     assert ratio <= MAX_SCALE_RATIO
+
+
+def test_paper_tree_canonicalisation(emit):
+    lines = []
+    for n in PAPER_SIZES:
+        times = []
+        for seed in range(PAPER_TREES):
+            rng = np.random.default_rng(seed)
+            tree = paper_tree(n, rng=rng)
+            pre = {v: 0 for v in random_preexisting(tree, n // 8, rng=rng)}
+            times.append(_timed(partial(canonicalize, tree, pre))[1])
+        lines.append(
+            f"paper tree n={n}: {statistics.median(times) * 1e3:.3f} ms "
+            f"(median of {PAPER_TREES} trees, best of 3 each)"
+        )
+    emit("canonical_paper", "\n".join(lines))
 
 
 def test_micro_canonicalize_deep_path(benchmark):

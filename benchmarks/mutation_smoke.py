@@ -59,11 +59,12 @@ _SYMBOL = {
 TARGETS: dict[str, tuple[str, ...] | None] = {
     "repro/power/dp_power_array.py": None,
     "repro/core/dp_withpre.py": ("_leaf_group", "_at", "_minplus", "_flow_*"),
-    "repro/batch/canonical.py": ("routing_key", "canonicalize"),
+    "repro/batch/canonical.py": ("routing_key", "canonicalize", "_annotate"),
 }
 
 _ARRAY = "repro/power/dp_power_array.py"
 _WITHPRE = "repro/core/dp_withpre.py"
+_CANONICAL = "repro/batch/canonical.py"
 
 #: Seconds per mutant run; a run that exceeds it counts as killed.
 _TIMEOUT = 120.0
@@ -76,6 +77,8 @@ FAST_SUBSET = (
     "tests/core/test_flow_kernel.py",
     "tests/serve/test_routing_key.py",
     "tests/batch/test_canonical.py",
+    "tests/batch/test_canonical_golden.py",
+    "tests/batch/test_canonical_oracle.py",
     "tests/power/test_power_cross_validation.py",
     "tests/power/test_merge_paths.py",
     "tests/dynamics/test_prefix_reuse.py",

@@ -21,11 +21,34 @@ with per-node annotations, with subtree codes *interned to integers*:
   assignment within a level is label-free, two isomorphic annotated
   trees receive identical code tables — by induction over heights;
 * the canonical node numbering is the pre-order walk that visits
-  children in ascending code order.
+  children in ascending code order; siblings with equal codes (roots of
+  isomorphic annotated subtrees) are visited in *descending* node id
+  order.  The tie rule changes no canonical instance, but it fixes
+  :attr:`Canonical.to_canonical`, hence which original node a mapped-back
+  witness names, so it is part of the contract.
 
 Interning keeps the encoding near-linear: the original string encoding
 concatenated child codes, which is O(N²) characters on path-shaped trees
 (``benchmarks/bench_canonical_deep.py`` guards the regression).
+
+:func:`canonicalize` runs on a flat layout of the tree.  Numpy does the
+per-node work once per tree: each node's annotation becomes one integer
+ordered like the annotation tuple (a node's load stands for its request
+tuple unless some node has several clients); a leaf's code is its
+annotation integer; non-root leaves are sorted by parent, code and
+descending id, which gives both every node's sorted leaf-child codes
+(one flat list sliced per parent) and the leaves' places in the
+pre-order; and the output tuples are built from whole arrays.  Only the
+internal nodes go through Python: one pass for subtree sizes and
+heights, one over the levels for their codes (a one-node level, as on
+a path, takes the next code without building a key), and one top-down
+pass that places each internal child after its parent's leaf children
+and its earlier siblings' subtrees.  Codes are order-isomorphic to the
+interned codes above rather than equal to them (internal codes start
+above the largest leaf code), which is all the sibling order and the
+key comparisons see.  The scalar per-node version is kept as the test
+oracle (``tests/batch/_canonical_oracle.py``), and every field of the
+result must equal it.
 
 Two instances receive the same digest **iff** there is a tree isomorphism
 mapping one onto the other that preserves client workloads and the
@@ -129,19 +152,25 @@ def _normalize_preexisting(
     )
 
 
-def _pair_rank(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """One ``int64`` per entry, ordered and equal like ``(major, minor)``.
+def _annotate(req_rank: np.ndarray, nodes: list[int], modes: list[int]) -> np.ndarray:
+    """One ``int64`` per node, ordered and equal like the pair (request
+    rank, marker), the marker being 0 for plain nodes and ``1 + mode``
+    for the pre-existing ``nodes``.
 
-    ``major`` is non-negative.  Values too large to pack into one
-    ``int64`` are replaced by their dense ranks first.
+    ``req_rank`` is non-negative.  Markers are replaced by their dense
+    ranks, and request ranks too large to pack beside them by theirs.
     """
-    minor = minor - minor.min()
-    width = int(minor.max()) + 1
-    if (int(major.max()) + 1) * width > _INT64_MAX:
-        major = np.unique(major, return_inverse=True)[1].reshape(-1)
-        minor = np.unique(minor, return_inverse=True)[1].reshape(-1)
-        width = int(minor.max()) + 1
-    return major * width + minor
+    markers = sorted({0, *(m + 1 for m in modes)})
+    width = len(markers)
+    if width == 1:
+        return req_rank
+    if (int(req_rank.max()) + 1) * width > _INT64_MAX:
+        req_rank = np.unique(req_rank, return_inverse=True)[1].reshape(-1)
+    rank = {m: i for i, m in enumerate(markers)}
+    plain = rank[0]
+    ann = req_rank * width + plain
+    ann[nodes] += [rank[m + 1] - plain for m in modes]
+    return ann
 
 
 def canonicalize(
@@ -159,34 +188,40 @@ def canonicalize(
     parent_list = list(tree.parents)
     parent_list[tree.root] = -1
     par = np.fromiter(parent_list, dtype=np.int64, count=n)
-    clients = tree.clients
-    c_node = np.fromiter([c.node for c in clients], np.int64, len(clients))
-    c_req = np.fromiter([c.requests for c in clients], np.int64, len(clients))
-    marker = np.zeros(n, dtype=np.int64)
-    if pre_modes:
-        marker[list(pre_modes)] = np.fromiter(pre_modes.values(), np.int64) + 1
+    pre_nodes = list(pre_modes)
 
     # Annotation: one integer per node ordered and equal like the pair
-    # (sorted request tuple, marker).  Without multi-client nodes the
-    # load orders the tuples (``()`` is 0, ``(r,)`` is r >= 1);
-    # otherwise the distinct tuples are ranked once in Python.
-    req_rank = tree.client_loads
-    count = np.bincount(c_node, minlength=n)
-    multi = np.flatnonzero(count > 1).tolist()
-    if multi:
+    # (sorted request tuple, marker).  When every client sits alone on
+    # its node (request counts are positive, so the nodes with a load
+    # are the client nodes), the load orders the request tuples: ``()``
+    # is 0 and ``(r,)`` is r.  Otherwise the distinct tuples are ranked
+    # once in Python.
+    load = tree.client_loads
+    c_node = np.flatnonzero(load)
+    if c_node.size == tree.n_clients:
+        req_rank, c_req = load, load[c_node]
+    else:
+        clients = tree.clients
+        c_node = np.fromiter([c.node for c in clients], np.int64, len(clients))
+        c_req = np.fromiter([c.requests for c in clients], np.int64, len(clients))
+        count = np.bincount(c_node, minlength=n)
+        multi = np.flatnonzero(count > 1).tolist()
         single = count == 1
-        values = np.unique(req_rank[single]).tolist()
+        values = np.unique(load[single])
         tuples = [
             tuple(sorted(c.requests for c in tree.clients_at(v))) for v in multi
         ]
-        keys = sorted({(), *((r,) for r in values), *tuples})
-        rank = {key: i for i, key in enumerate(keys)}
+        rank = {
+            reqs: i
+            for i, reqs in enumerate(
+                sorted({(), *((r,) for r in values.tolist()), *tuples})
+            )
+        }
+        value_rank = np.array([rank[(r,)] for r in values.tolist()], dtype=np.int64)
         req_rank = np.zeros(n, dtype=np.int64)
-        req_rank[single] = np.array([rank[(r,)] for r in values], dtype=np.int64)[
-            np.searchsorted(values, tree.client_loads[single])
-        ]
-        req_rank[multi] = [rank[key] for key in tuples]
-    ann = _pair_rank(req_rank, marker)
+        req_rank[single] = value_rank[np.searchsorted(values, load[single])]
+        req_rank[multi] = [rank[reqs] for reqs in tuples]
+    ann = _annotate(req_rank, pre_nodes, list(pre_modes.values()))
 
     # Leaves: a leaf's code is its annotation.  Non-root leaves are laid
     # out by parent, then code, then id descending (a stable sort of the
@@ -236,7 +271,7 @@ def canonicalize(
             level_codes = [next_code]
             next_code += 1
         else:
-            keys = []
+            keys: list[tuple[int, tuple[int, ...]]] = []
             for u in level:
                 s = leaf_start_l[u]
                 kids = leaf_codes[s:s + n_leaf_l[u]]
@@ -273,7 +308,7 @@ def canonicalize(
     canon_node = to_canon[c_node]
     order = np.lexsort((c_req, canon_node))
     canon_modes = tuple(
-        sorted(zip(to_canon[list(pre_modes)].tolist(), pre_modes.values()))
+        sorted(zip(to_canon[pre_nodes].tolist(), pre_modes.values()))
     )
     return Canonical(
         parents=tuple(canon_parents),

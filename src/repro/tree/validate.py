@@ -16,13 +16,7 @@ from repro.tree.model import Tree
 
 __all__ = [
     "check_preexisting",
-    "max_direct_load",
 ]
-
-
-def max_direct_load(tree: Tree) -> int:
-    """Largest aggregated direct client load over all internal nodes."""
-    return int(tree.client_loads.max()) if tree.n_nodes else 0
 
 
 def check_preexisting(

@@ -28,7 +28,8 @@ from tests.conftest import small_trees
 def instances(draw, max_nodes: int = 14):
     """A tree with extra clients (multi-client nodes, repeated and
     prefix-related request multisets) and a plain or moded pre-existing
-    map."""
+    map.  Modes include -1 and -2, whose markers (``1 + mode``) equal or
+    undercut a plain node's 0."""
     tree = draw(small_trees(max_nodes=max_nodes, max_requests=3))
     n = tree.n_nodes
     extra = draw(
@@ -42,7 +43,7 @@ def instances(draw, max_nodes: int = 14):
         return tree, ()
     if kind == "plain":
         return tree, nodes
-    return tree, {v: draw(st.integers(0, 3)) for v in sorted(nodes)}
+    return tree, {v: draw(st.integers(-2, 3)) for v in sorted(nodes)}
 
 
 def _assert_same(tree, pre):
@@ -93,6 +94,20 @@ def test_matches_reference_on_fixed_shapes(parents):
     _assert_same(bare, ())
     loaded = Tree(parents, [Client(v, 1 + v % 2) for v in range(len(parents))])
     _assert_same(loaded, {len(parents) - 1: 1})
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_matches_reference_on_request_counts_too_large_to_pack(multi):
+    # (big + 1) * 3 markers overflows int64, so the request ranks are
+    # replaced by their dense ranks before packing (two such clients
+    # still fit the tree's int64 request totals).
+    big = 3 * 2**60
+    clients = [Client(1, big), Client(2, 3), Client(3, big), Client(4, 5)]
+    if multi:
+        clients.append(Client(2, 3))
+    tree = Tree([None, 0, 0, 1, 1], clients)
+    _assert_same(tree, {1: 0, 3: 1})
+    _assert_same(tree, {2: 1, 4: 0})
 
 
 def test_rejects_out_of_range_preexisting_like_reference():

@@ -5,16 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.tree.model import Tree
-from repro.tree.validate import check_preexisting, max_direct_load
-
-
-class TestMaxDirectLoad:
-    def test_values(self, chain_tree):
-        assert max_direct_load(chain_tree) == 4
-
-    def test_no_clients(self):
-        assert max_direct_load(Tree([None, 0])) == 0
+from repro.tree.validate import check_preexisting
 
 
 class TestCheckPreexisting:

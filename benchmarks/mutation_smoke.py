@@ -150,6 +150,18 @@ EQUIVALENT: dict[tuple[str, str, str, str], str] = {
     ): "keeps a step of weight equal to the hosting option (0, host) at a "
     "larger flow; _at reads the same weight and _flow_split finds the "
     "earlier step first, so every weight and witness is unchanged",
+    (_CANONICAL, "_annotate", "(int(req_rank.max()) + 1) * width > _INT64_MAX", ">"): (
+        "dense ranks keep the order of the request ranks they replace, so "
+        "packing them at exactly the bound gives the same annotation order"
+    ),
+    (_CANONICAL, "canonicalize", "np.bincount(par[is_child], minlength=n) > 0", ">"): (
+        "counting every node as internal sends the leaves through the "
+        "Python level pass, which codes and places them in the same order"
+    ),
+    (_CANONICAL, "canonicalize", "np.flatnonzero(count > 1).tolist()", ">"): (
+        "ranking a one-client node's tuple (r,) in Python gives it the rank "
+        "its load already looked up"
+    ),
 }
 
 

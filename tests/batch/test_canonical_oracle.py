@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.canonical import canonicalize
+from repro.batch.canonical import canonicalize, relabel_tree
 from repro.exceptions import ConfigurationError
 from repro.tree.generators import paper_tree, random_preexisting_modes
 from repro.tree.model import Client, Tree
@@ -27,9 +27,10 @@ from tests.conftest import small_trees
 @st.composite
 def instances(draw, max_nodes: int = 14):
     """A tree with extra clients (multi-client nodes, repeated and
-    prefix-related request multisets) and a plain or moded pre-existing
-    map.  Modes include -1 and -2, whose markers (``1 + mode``) equal or
-    undercut a plain node's 0."""
+    prefix-related request multisets), relabelled so that any node can be
+    the root, and a plain or moded pre-existing map.  Modes include -1
+    and -2, whose markers (``1 + mode``) equal or undercut a plain
+    node's 0."""
     tree = draw(small_trees(max_nodes=max_nodes, max_requests=3))
     n = tree.n_nodes
     extra = draw(
@@ -37,6 +38,7 @@ def instances(draw, max_nodes: int = 14):
     )
     if extra:
         tree = Tree(tree.parents, [*tree.clients, *(Client(v, r) for v, r in extra)])
+    tree, _ = relabel_tree(tree, draw(st.permutations(range(n))))
     nodes = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
     kind = draw(st.sampled_from(["none", "plain", "moded"]))
     if kind == "none":

@@ -8,8 +8,8 @@ invariance under the worst-case reversal relabelling, and asserts a
 generous near-linearity bound on the depth-1000 → depth-4000 scaling so
 an accidental return to quadratic growth fails loudly.  It also prints,
 without a gate, the median time on paper trees of the request sizes
-(n = 100/200/400 with n/8 pre-existing servers, as a ``dp`` request is
-keyed), where a path's one-node levels are the exception.
+(n = 100/200/400 with n/8 pre-existing servers, keyed as a ``dp``
+request is), the shape the serving path pays for on every request.
 """
 
 from __future__ import annotations

@@ -158,10 +158,6 @@ EQUIVALENT: dict[tuple[str, str, str, str], str] = {
         "counting every node as internal sends the leaves through the "
         "Python level pass, which codes and places them in the same order"
     ),
-    (_CANONICAL, "canonicalize", "np.flatnonzero(count > 1).tolist()", ">"): (
-        "ranking a one-client node's tuple (r,) in Python gives it the rank "
-        "its load already looked up"
-    ),
 }
 
 

@@ -194,33 +194,23 @@ def canonicalize(
     # (sorted request tuple, marker).  When every client sits alone on
     # its node (request counts are positive, so the nodes with a load
     # are the client nodes), the load orders the request tuples: ``()``
-    # is 0 and ``(r,)`` is r.  Otherwise the distinct tuples are ranked
-    # once in Python.
+    # is 0 and ``(r,)`` is r.  Otherwise the distinct tuples of the client
+    # nodes are ranked in Python (``()``, the smallest, keeps rank 0).
     load = tree.client_loads
-    c_node = np.flatnonzero(load)
-    if c_node.size == tree.n_clients:
-        req_rank, c_req = load, load[c_node]
+    holders = np.flatnonzero(load)
+    if holders.size == tree.n_clients:
+        req_rank, c_node, c_req = load, holders, load[holders]
     else:
         clients = tree.clients
         c_node = np.fromiter([c.node for c in clients], np.int64, len(clients))
         c_req = np.fromiter([c.requests for c in clients], np.int64, len(clients))
-        count = np.bincount(c_node, minlength=n)
-        multi = np.flatnonzero(count > 1).tolist()
-        single = count == 1
-        values = np.unique(load[single])
         tuples = [
-            tuple(sorted(c.requests for c in tree.clients_at(v))) for v in multi
+            tuple(sorted(c.requests for c in tree.clients_at(v)))
+            for v in holders.tolist()
         ]
-        rank = {
-            reqs: i
-            for i, reqs in enumerate(
-                sorted({(), *((r,) for r in values.tolist()), *tuples})
-            )
-        }
-        value_rank = np.array([rank[(r,)] for r in values.tolist()], dtype=np.int64)
+        rank = {reqs: i for i, reqs in enumerate(sorted({(), *tuples}))}
         req_rank = np.zeros(n, dtype=np.int64)
-        req_rank[single] = value_rank[np.searchsorted(values, load[single])]
-        req_rank[multi] = [rank[reqs] for reqs in tuples]
+        req_rank[holders] = [rank[reqs] for reqs in tuples]
     ann = _annotate(req_rank, pre_nodes, list(pre_modes.values()))
 
     # Leaves: a leaf's code is its annotation.  Non-root leaves are laid

@@ -13,8 +13,8 @@ number) are printed apart with their reason, so the ``survived`` lines
 are the holes.
 
 Targets: every comparison of the array Pareto kernel, the flow-kernel
-functions of the MinCost-WithPre DP, and the canonicaliser plus the
-cluster routing key.
+functions of the MinCost-WithPre DP, the canonicaliser plus the cluster
+routing key, and the tree model's client validation and builders.
 
 Run from the repository root::
 
@@ -55,11 +55,19 @@ _SYMBOL = {
 }
 
 #: Module (relative to ``src/``) -> names of the functions to mutate
-#: (``None``: the whole module).  A name ending in ``*`` is a prefix.
+#: (``None``: the whole module).  A name ending in ``*`` is a prefix; a
+#: method is named ``Class.method``.
 TARGETS: dict[str, tuple[str, ...] | None] = {
     "repro/power/dp_power_array.py": None,
     "repro/core/dp_withpre.py": ("_leaf_group", "_at", "_minplus", "_flow_*"),
     "repro/batch/canonical.py": ("routing_key", "canonicalize", "_annotate"),
+    "repro/tree/model.py": (
+        "Client.__post_init__",
+        "Tree.__init__",
+        "Tree.with_clients",
+        "Tree.clients",
+        "Tree.clients_at",
+    ),
 }
 
 _ARRAY = "repro/power/dp_power_array.py"
@@ -82,6 +90,9 @@ FAST_SUBSET = (
     "tests/power/test_power_cross_validation.py",
     "tests/power/test_merge_paths.py",
     "tests/dynamics/test_prefix_reuse.py",
+    "tests/tree/test_model.py",
+    "tests/tree/test_serialize.py",
+    "tests/dynamics/test_tree_patch.py",
 )
 
 
@@ -187,16 +198,24 @@ def _wanted(name: str, functions: tuple[str, ...] | None) -> bool:
     )
 
 
+def _functions(tree: ast.AST) -> Iterator[tuple[str, ast.AST]]:
+    """``(name, def)`` of every top-level function and method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{member.name}", member
+
+
 def _compares(tree: ast.AST, functions: tuple[str, ...] | None) -> Iterator[ast.Compare]:
-    """Compare nodes inside the wanted top-level functions, in walk order."""
+    """Compare nodes inside the wanted functions, in walk order."""
     if functions is None:
         roots: list[ast.AST] = [tree]
     else:
         roots = [
-            node
-            for node in ast.iter_child_nodes(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and _wanted(node.name, functions)
+            node for name, node in _functions(tree) if _wanted(name, functions)
         ]
     for root in roots:
         for node in ast.walk(root):

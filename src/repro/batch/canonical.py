@@ -435,9 +435,9 @@ def instance_digest(
         "capacity": None if capacity is None else int(capacity),
         "create": None if cost_model is None else cost_model.create,
         "delete": None if cost_model is None else cost_model.delete,
-        "parents": list(canonical.parents),
-        "clients": [list(c) for c in canonical.clients],
-        "pre": list(canonical.preexisting),
+        "parents": canonical.parents,
+        "clients": canonical.clients,
+        "pre": canonical.preexisting,
     }
     if power_model is not None or modal_cost_model is not None:
         from repro.power.serialize import (
@@ -450,7 +450,7 @@ def instance_digest(
         if modal_cost_model is not None:
             payload["modal_cost"] = modal_cost_model_to_dict(modal_cost_model)
     if include_pre_modes:
-        payload["pre_modes"] = [list(p) for p in canonical.preexisting_modes]
+        payload["pre_modes"] = canonical.preexisting_modes
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

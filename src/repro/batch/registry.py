@@ -265,11 +265,7 @@ class _MinCostPolicy(SolverPolicy):
         }
 
     def solve(self, payload: dict[str, Any]) -> dict[str, Any]:
-        tree = Tree(
-            [None if p is None else int(p) for p in payload["parents"]],
-            [(int(n), int(r)) for n, r in payload["clients"]],
-            validate=False,
-        )
+        tree = Tree(payload["parents"], payload["clients"], validate=False)
         result = self._solve_tree(tree, payload)
         return {"schema": self.record_schema, "replicas": sorted(result.replicas)}
 
@@ -396,11 +392,7 @@ class _PowerPolicy(SolverPolicy):
 
     @staticmethod
     def _payload_instance(payload: dict[str, Any]) -> BatchInstance:
-        tree = Tree(
-            [None if p is None else int(p) for p in payload["parents"]],
-            [(int(n), int(r)) for n, r in payload["clients"]],
-            validate=False,
-        )
+        tree = Tree(payload["parents"], payload["clients"], validate=False)
         pre_modes = {int(v): int(m) for v, m in payload["pre_modes"]}
         pm = power_model_from_dict(payload["power"])
         mcm = modal_cost_model_from_dict(payload["modal_cost"])

@@ -40,7 +40,8 @@ class UniformCostModel:
     delete: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.create < 0 or self.delete < 0:
+        # ``not x >= 0`` also rejects NaN, which every comparison fails.
+        if not (self.create >= 0 and self.delete >= 0):
             raise ConfigurationError(
                 f"create/delete costs must be non-negative, got "
                 f"create={self.create}, delete={self.delete}"
@@ -110,9 +111,9 @@ class ModalCostModel:
                 raise ConfigurationError(
                     f"changed[{i}][{i}] must be 0 (keeping a mode is free)"
                 )
-        if any(c < 0 for c in self.create) or any(d < 0 for d in self.delete):
+        if not all(c >= 0 for c in (*self.create, *self.delete)):
             raise ConfigurationError("mode costs must be non-negative")
-        if any(c < 0 for row in self.changed for c in row):
+        if not all(c >= 0 for row in self.changed for c in row):
             raise ConfigurationError("mode-change costs must be non-negative")
 
     @property

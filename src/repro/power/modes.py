@@ -89,13 +89,15 @@ class PowerModel:
     capacity_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.static_power < 0:
+        # Negated comparisons so NaN, which fails every comparison, is
+        # rejected too.
+        if not self.static_power >= 0:
             raise ConfigurationError(
                 f"static power must be >= 0, got {self.static_power}"
             )
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
-        if self.capacity_scale <= 0:
+        if not self.capacity_scale > 0:
             raise ConfigurationError(
                 f"capacity_scale must be > 0, got {self.capacity_scale}"
             )

@@ -3,16 +3,16 @@
 The model follows §2.1 of the paper: a rooted tree whose *internal* nodes
 (`0..n-1`) may host replicas, and whose leaves are *clients*.  A client is
 attached to exactly one internal node and issues a fixed number of requests
-per time unit.  Several clients may hang off the same internal node; the
-solvers only ever need the aggregated per-node client load, but clients are
-kept as first-class objects so that workload evolution (§5.1, Experiment 2)
-can redraw individual request counts.
+per time unit.  Several clients may hang off the same internal node.
 
-:class:`Tree` instances are immutable after construction and precompute the
-queries that dominate the dynamic programs: children lists, a post-order,
-depths, per-node client loads and per-subtree aggregates.  All hot arrays are
-numpy ``int64`` so the solvers can slice them without copies (see the
-hpc-parallel guides: views, not copies).
+The solvers read four things from a tree: each node's aggregated direct
+client load, its children, a post-order and the root.  :class:`Tree`
+builds those, plus node depths, at construction; the load, post-order and
+depth arrays are numpy ``int64`` so the solvers can slice them without
+copies.  Clients are validated at construction but kept as ``(node,
+requests)`` pairs: the :class:`Client` objects that workload evolution
+(§5.1, Experiment 2), routing and the simulators read are built on first
+use.
 """
 
 from __future__ import annotations
@@ -45,10 +45,7 @@ class Client:
 
     def __post_init__(self) -> None:
         if self.requests <= 0:
-            raise WorkloadError(
-                f"client at node {self.node} has non-positive requests "
-                f"({self.requests}); the paper's r_i are >= 1"
-            )
+            raise _non_positive(self.node, self.requests)
 
     def with_requests(self, requests: int) -> Client:
         """Return a copy of this client issuing ``requests`` requests."""
@@ -75,20 +72,25 @@ class Tree:
     The tree is *fixed* for the whole lifetime of a placement problem, which
     is the paper's key platform assumption; mutating workloads produce new
     ``Tree`` instances via :meth:`with_clients`.
+
+    No public state ever changes.  The :class:`Client` tuples behind
+    :attr:`clients` and :meth:`clients_at` are built on first use and
+    cached (``Client`` objects passed in are kept as they are).  Threads
+    racing on a first read may each build a cache, but every build makes
+    equal tuples and a read returns whichever write it sees, so the race
+    is benign.
     """
 
     __slots__ = (
         "_parents",
         "_children",
         "_root",
+        "_pairs",
         "_clients",
         "_clients_at",
         "_client_load",
         "_post_order",
-        "_post_index",
         "_depth",
-        "_subtree_internal",
-        "_subtree_requests",
     )
 
     def __init__(
@@ -125,24 +127,27 @@ class Tree:
             if p is not None:
                 children[p].append(v)
 
-        # Aggregates are built on Python ints and converted with one
-        # np.asarray each: per-element numpy scalar updates cost more than
-        # the whole construction otherwise (it runs once per session delta
-        # and per request decode).
-        client_objs: list[Client] = []
-        clients_at: list[list[Client]] = [[] for _ in range(n)]
+        # Loads are summed on Python ints and converted with one np.asarray:
+        # per-element numpy scalar updates cost more than the whole
+        # construction otherwise (it runs on every request parse, canonical
+        # solve and session migration).
+        pairs: list[tuple[int, int]] = []
+        given: list[Client] = []
         load = [0] * n
         for c in clients:
-            if not isinstance(c, Client):
-                c = Client(int(c[0]), int(c[1]))
-            node = c.node
+            if isinstance(c, Client):
+                node, requests = c.node, c.requests
+                given.append(c)
+            else:
+                node, requests = int(c[0]), int(c[1])
+                if requests <= 0:
+                    raise _non_positive(node, requests)
             if not (0 <= node < n):
                 raise WorkloadError(
                     f"client references unknown internal node {node}"
                 )
-            client_objs.append(c)
-            clients_at[node].append(c)
-            load[node] += c.requests
+            pairs.append((node, requests))
+            load[node] += requests
 
         # Post-order as the reverse of a pre-order that visits children
         # last-first; also detects cycles/unreachable nodes (every node
@@ -166,32 +171,17 @@ class Tree:
             )
         post.reverse()
 
-        post_arr = np.asarray(post, dtype=np.int64)
-        post_index = np.empty(n, dtype=np.int64)
-        post_index[post_arr] = np.arange(n, dtype=np.int64)
-
-        # Subtree aggregates, excluding the node itself for internal counts
-        # (matching the (e, n) table convention of Algorithm 3) but including
-        # it for request totals.
-        sub_internal = [0] * n
-        sub_requests = list(load)
-        for v in post:
-            p = parent_list[v]
-            if p is not None:
-                sub_internal[p] += sub_internal[v] + 1
-                sub_requests[p] += sub_requests[v]
-
         self._parents = tuple(parent_list)
         self._children = tuple(tuple(cs) for cs in children)
         self._root = root
-        self._clients = tuple(client_objs)
-        self._clients_at = tuple(tuple(cs) for cs in clients_at)
+        self._pairs = tuple(pairs)
+        self._clients: tuple[Client, ...] | None = (
+            tuple(given) if len(given) == len(pairs) else None
+        )
+        self._clients_at: tuple[tuple[Client, ...], ...] | None = None
         self._client_load = np.asarray(load, dtype=np.int64)
-        self._post_order = post_arr
-        self._post_index = post_index
+        self._post_order = np.asarray(post, dtype=np.int64)
         self._depth = np.asarray(depth, dtype=np.int64)
-        self._subtree_internal = np.asarray(sub_internal, dtype=np.int64)
-        self._subtree_requests = np.asarray(sub_requests, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -209,16 +199,19 @@ class Tree:
     @property
     def clients(self) -> tuple[Client, ...]:
         """All clients, in insertion order."""
-        return self._clients
+        objs = self._clients
+        if objs is None:
+            objs = self._clients = tuple(Client(v, r) for v, r in self._pairs)
+        return objs
 
     @property
     def n_clients(self) -> int:
-        return len(self._clients)
+        return len(self._pairs)
 
     @property
     def total_requests(self) -> int:
         """Sum of all client requests in the tree."""
-        return int(self._subtree_requests[self._root])
+        return int(self._client_load.sum())
 
     def parent(self, v: int) -> int | None:
         """Parent of ``v`` (``None`` for the root)."""
@@ -229,8 +222,14 @@ class Tree:
         return self._children[v]
 
     def clients_at(self, v: int) -> tuple[Client, ...]:
-        """Clients directly attached to ``v``."""
-        return self._clients_at[v]
+        """Clients directly attached to ``v``, in insertion order."""
+        at = self._clients_at
+        if at is None:
+            lists: list[list[Client]] = [[] for _ in self._parents]
+            for c in self.clients:
+                lists[c.node].append(c)
+            at = self._clients_at = tuple(tuple(cs) for cs in lists)
+        return at[v]
 
     def client_load(self, v: int) -> int:
         """Aggregated requests of clients directly attached to ``v``."""
@@ -251,18 +250,6 @@ class Tree:
     def height(self) -> int:
         """Maximum node depth."""
         return int(self._depth.max())
-
-    def subtree_internal_count(self, v: int) -> int:
-        """Number of internal nodes strictly inside ``subtree_v``.
-
-        Matches the paper's convention where the tables at ``v`` exclude
-        ``v`` itself (placement on ``v`` is decided at its parent).
-        """
-        return int(self._subtree_internal[v])
-
-    def subtree_requests(self, v: int) -> int:
-        """Total client requests issued inside ``subtree_v`` (incl. ``v``)."""
-        return int(self._subtree_requests[v])
 
     # ------------------------------------------------------------------
     # traversals
@@ -324,52 +311,41 @@ class Tree:
         """Return a tree with identical structure but a new workload.
 
         ``touched``, when given, must name every node whose attached
-        clients differ from this tree's (other nodes keep theirs, in the
-        same relative order).  The new tree then shares every structural
-        field with this one and updates only the client tuples, the
-        touched nodes' loads and the request totals on their root paths,
-        instead of rebuilding everything.
+        clients differ from this tree's.  The new tree then shares every
+        structural field with this one and recomputes only the touched
+        nodes' loads, instead of rebuilding everything.
         """
         if touched is None:
             return Tree(self._parents, clients, validate=False)
         n = self.n_nodes
-        client_objs = [
+        objs = tuple(
             c if isinstance(c, Client) else Client(int(c[0]), int(c[1]))
             for c in clients
-        ]
-        at: dict[int, list[Client]] = {v: [] for v in touched}
-        for c in client_objs:
-            if not (0 <= c.node < n):
+        )
+        touched_load = dict.fromkeys(touched, 0)
+        pairs: list[tuple[int, int]] = []
+        for c in objs:
+            node = c.node
+            if not (0 <= node < n):
                 raise WorkloadError(
-                    f"client references unknown internal node {c.node}"
+                    f"client references unknown internal node {node}"
                 )
-            if c.node in at:
-                at[c.node].append(c)
-        clients_at = list(self._clients_at)
+            pairs.append((node, c.requests))
+            if node in touched_load:
+                touched_load[node] += c.requests
         load = self._client_load.copy()
-        sub_requests = self._subtree_requests.copy()
-        parents = self._parents
-        for v, cs in at.items():
-            clients_at[v] = tuple(cs)
-            change = sum(c.requests for c in cs) - int(load[v])
-            if change:
-                load[v] += change
-                u: int | None = v
-                while u is not None:
-                    sub_requests[u] += change
-                    u = parents[u]
+        for v, total in touched_load.items():
+            load[v] = total
         tree = Tree.__new__(Tree)
-        tree._parents = parents
+        tree._parents = self._parents
         tree._children = self._children
         tree._root = self._root
-        tree._clients = tuple(client_objs)
-        tree._clients_at = tuple(clients_at)
+        tree._pairs = tuple(pairs)
+        tree._clients = objs
+        tree._clients_at = None
         tree._client_load = load
         tree._post_order = self._post_order
-        tree._post_index = self._post_index
         tree._depth = self._depth
-        tree._subtree_internal = self._subtree_internal
-        tree._subtree_requests = sub_requests
         return tree
 
     @property
@@ -383,10 +359,10 @@ class Tree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
-        return self._parents == other._parents and self._clients == other._clients
+        return self._parents == other._parents and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash((self._parents, self._clients))
+        return hash((self._parents, self._pairs))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -409,3 +385,10 @@ def _normalize_parents(
             )
         return [parents[v] for v in range(n)]
     return [None if p is None else int(p) for p in parents]
+
+
+def _non_positive(node: int, requests: int) -> WorkloadError:
+    return WorkloadError(
+        f"client at node {node} has non-positive requests ({requests}); "
+        "the paper's r_i are >= 1"
+    )

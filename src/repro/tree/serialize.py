@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from typing import Any
 
 from repro.exceptions import ConfigurationError
-from repro.tree.model import Client, Tree
+from repro.tree.model import Tree
 
 __all__ = [
     "tree_to_dict",
@@ -46,7 +46,7 @@ def tree_from_dict(data: Mapping[str, Any]) -> Tree:
         raise ConfigurationError(f"unsupported tree schema version {schema}")
     try:
         parents = [None if p is None else int(p) for p in data["parents"]]
-        clients = [Client(int(n), int(r)) for n, r in data["clients"]]
+        clients = [(int(n), int(r)) for n, r in data["clients"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed tree dict: {exc}") from exc
     return Tree(parents, clients)

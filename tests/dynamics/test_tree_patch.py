@@ -38,8 +38,6 @@ def _assert_same_tree(got: Tree, want: Tree) -> None:
         assert got.clients_at(v) == want.clients_at(v)
         assert got.client_load(v) == want.client_load(v)
         assert got.depth(v) == want.depth(v)
-        assert got.subtree_internal_count(v) == want.subtree_internal_count(v)
-        assert got.subtree_requests(v) == want.subtree_requests(v)
         assert got.parent(v) == want.parent(v)
 
 

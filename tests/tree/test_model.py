@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +79,8 @@ class TestConstruction:
     def test_out_of_range_parent_rejected(self):
         with pytest.raises(TreeStructureError, match="out-of-range"):
             Tree([None, 7])
+        with pytest.raises(TreeStructureError, match="out-of-range"):
+            Tree([None, 2])
 
     def test_client_on_unknown_node_rejected(self):
         with pytest.raises(WorkloadError, match="unknown internal node"):
@@ -100,16 +105,6 @@ class TestAccessors:
         assert t.clients_at(1) == (Client(1, 2), Client(1, 3))
         assert t.n_clients == 3
         assert t.total_requests == 6
-
-    def test_subtree_counts_exclude_self(self, chain_tree):
-        assert chain_tree.subtree_internal_count(0) == 2
-        assert chain_tree.subtree_internal_count(1) == 1
-        assert chain_tree.subtree_internal_count(2) == 0
-
-    def test_subtree_requests_include_self(self, chain_tree):
-        assert chain_tree.subtree_requests(0) == 9
-        assert chain_tree.subtree_requests(1) == 7
-        assert chain_tree.subtree_requests(2) == 4
 
     def test_client_loads_view_is_readonly(self, chain_tree):
         with pytest.raises(ValueError):
@@ -172,15 +167,6 @@ class TestPropertyInvariants:
 
     @settings(max_examples=60, deadline=None)
     @given(small_trees(max_nodes=14))
-    def test_subtree_counts_consistent(self, tree):
-        for v in range(tree.n_nodes):
-            members = list(tree.subtree_nodes(v, include_root=False))
-            assert tree.subtree_internal_count(v) == len(members)
-            expected = sum(tree.client_load(u) for u in members) + tree.client_load(v)
-            assert tree.subtree_requests(v) == expected
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_trees(max_nodes=14))
     def test_depths_follow_parents(self, tree):
         for v in range(tree.n_nodes):
             p = tree.parent(v)
@@ -226,3 +212,104 @@ class TestPropertyInvariants:
     @given(small_trees(max_nodes=14))
     def test_height_is_deepest_node(self, tree):
         assert tree.height == max(tree.depth(v) for v in range(tree.n_nodes))
+
+
+@st.composite
+def crowded_workloads(draw):
+    """``(base tree, new client pairs)`` with several clients on some node.
+
+    ``small_trees`` puts at most one client on a node, so two more land
+    on one drawn node and up to six on random nodes, in a drawn order.
+    """
+    base = draw(small_trees(max_nodes=10))
+    n = base.n_nodes
+    node = st.integers(0, n - 1)
+    requests = st.integers(1, 6)
+    v = draw(node)
+    pairs = [(c.node, c.requests) for c in base.clients]
+    pairs += [(v, draw(requests)), (v, draw(requests))]
+    pairs += draw(st.lists(st.tuples(node, requests), max_size=6))
+    return base, draw(st.permutations(pairs))
+
+
+class TestLazyClients:
+    """Trees built from pairs, from ``Client`` objects and by a patch agree."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(crowded_workloads(), st.booleans())
+    def test_every_build_agrees(self, workload, patch_with_objects):
+        base, pairs = workload
+        n = base.n_nodes
+        objects = [Client(v, r) for v, r in pairs]
+
+        def at(v, clients):
+            return [(c.node, c.requests) for c in clients if c.node == v]
+
+        touched = [v for v in range(n) if at(v, base.clients) != at(v, objects)]
+        trees = [
+            Tree(base.parents, pairs),
+            Tree(base.parents, objects),
+            base.with_clients(
+                objects if patch_with_objects else pairs, touched=touched
+            ),
+        ]
+        want_at = [tuple(c for c in objects if c.node == v) for v in range(n)]
+        load = [sum(r for u, r in pairs if u == v) for v in range(n)]
+        for i, tree in enumerate(trees):
+            # clients_at before clients on the first tree, after on the rest
+            if i == 0:
+                assert [tree.clients_at(v) for v in range(n)] == want_at
+            assert tree.clients == tuple(objects)
+            assert [tree.clients_at(v) for v in range(n)] == want_at
+            assert tree.n_clients == len(pairs)
+            assert tree.client_loads.tolist() == load
+            assert tree.total_requests == sum(load)
+            assert tree == trees[0] and hash(tree) == hash(trees[0])
+
+    def test_concurrent_first_reads_agree(self):
+        pairs = [(v % 40, 1 + v % 5) for v in range(400)]
+        want = tuple(Client(v, r) for v, r in pairs)
+        want_at = [tuple(c for c in want if c.node == v) for v in range(40)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                tree = Tree([None] + [0] * 39, pairs)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [
+                        pool.submit(
+                            lambda k: (
+                                [tree.clients_at(v) for v in range(40)]
+                                if k % 2
+                                else tree.clients
+                            ),
+                            k,
+                        )
+                        for k in range(8)
+                    ]
+                    results = [f.result(timeout=30) for f in futures]
+                for k, got in enumerate(results):
+                    assert got == (want_at if k % 2 else want)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_client_objects_passed_in_are_kept(self):
+        objects = [Client(1, 2), Client(0, 3), Client(1, 4)]
+        tree = Tree([None, 0], objects)
+        assert all(a is b for a, b in zip(tree.clients, objects, strict=True))
+        assert tree.clients_at(1)[1] is objects[2]
+
+    @pytest.mark.parametrize(
+        "clients, match",
+        [
+            ([(1, 0)], "non-positive requests"),
+            ([(0, 2), (5, -1)], "client at node 5 has non-positive"),
+            ([(2, 1)], "unknown internal node 2"),
+            ([(-1, 1)], "unknown internal node -1"),
+        ],
+    )
+    def test_pairs_are_validated_eagerly(self, clients, match):
+        with pytest.raises(WorkloadError, match=match):
+            Tree([None, 0], clients)
+        with pytest.raises(WorkloadError, match=match):
+            Tree([None, 0]).with_clients(clients, touched=[0, 1])

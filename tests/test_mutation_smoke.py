@@ -69,6 +69,18 @@ def test_prefix_targets_and_site_numbering():
     assert "x >= 1 == x" in second and "y > 0" in second
 
 
+def test_method_targets_name_their_class():
+    source = (
+        "class K:\n    def f(self, x):\n        return x < 1\n\n"
+        "    def g(self, x):\n        return x > 1\n\n"
+        "def f(x):\n    return x == 1\n"
+    )
+    sites = smoke.find_sites(source, ("K.f",))
+    assert [(s.function, s.op) for s in sites] == [("K.f", "<")]
+    mutant = smoke.mutate(source, sites[0], ("K.f",))
+    assert "x <= 1" in mutant and "x > 1" in mutant and "x == 1" in mutant
+
+
 def test_sites_carry_their_function_and_expression():
     source = (
         "class K:\n    def f(self, n, m):\n"
